@@ -319,11 +319,10 @@ def _legacy_chain_sweep(comp, pred) -> bool:
 def t_parallel() -> None:
     header(
         "T-parallel",
-        "memoized causality index + parallel sweep on the multi-combination "
-        "singular k-CNF tier",
+        "memoized causality index vs the unindexed legacy sweep on the "
+        "multi-combination singular k-CNF tier",
     )
-    row("groups", "combos", "legacy_ms", "indexed_ms", "parallel4_ms",
-        "index_speedup", "parallel4_speedup")
+    row("groups", "combos", "legacy_ms", "indexed_ms", "index_speedup")
     # The legacy sweep's per-scan cost is a constant factor, so one
     # calibration size suffices; re-running it at every tier would spend
     # most of the experiment re-measuring the same Python overhead.
@@ -337,74 +336,11 @@ def t_parallel() -> None:
         else:
             legacy_holds, ms_legacy = False, None
         serial, ms_serial = timed(detect_by_chain_choice, comp, pred)
-        par, ms_par = timed(detect_by_chain_choice, comp, pred, parallel=4)
-        assert legacy_holds == serial.holds == par.holds == False  # noqa: E712
-        assert serial.stats["invocations"] == par.stats["invocations"]
+        assert legacy_holds == serial.holds == False  # noqa: E712
         row(m, serial.stats["combinations"],
             "-" if ms_legacy is None else f"{ms_legacy:.1f}",
-            f"{ms_serial:.1f}", f"{ms_par:.1f}",
-            "-" if ms_legacy is None else f"{ms_legacy / ms_serial:.2f}x",
-            "-" if ms_legacy is None else f"{ms_legacy / ms_par:.2f}x")
-    # Determinism spot check: the parallel driver must return the very
-    # witness the serial loop finds.
-    comp, pred = chain_structured_group(
-        4, 4, chains_per_group=4, events_per_process=8, satisfiable=True
-    )
-    serial = detect_by_chain_choice(comp, pred)
-    par = detect_by_chain_choice(comp, pred, parallel=4)
-    assert serial.holds and par.holds
-    assert serial.witness.frontier == par.witness.frontier
-    row("witness determinism (4 workers)", "ok", "-", "-", "-", "-", "-")
-
-
-def t_workers() -> None:
-    import os
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity"
-    ) else (os.cpu_count() or 1)
-    header(
-        "T-workers",
-        "worker scaling of the batched combination sweep on the T-chain "
-        f"and T-parallel hot workloads ({cores} core(s) available; "
-        "wall-clock speedup requires spare cores, the verdict and stat "
-        "invariants hold regardless)",
-    )
-    row("workload", "combos", "w1_ms", "w2_ms", "w4_ms",
-        "speedup_w2", "speedup_w4")
-    workloads = (
-        (
-            "process-choice m=8",
-            chain_structured_group(
-                8, 4, chains_per_group=1, satisfiable=False
-            ),
-            detect_by_process_choice,
-        ),
-        (
-            "chain-choice m=7 c=4",
-            chain_structured_group(
-                7, 4, chains_per_group=4, events_per_process=8,
-                satisfiable=False,
-            ),
-            detect_by_chain_choice,
-        ),
-    )
-    for name, (comp, pred), engine in workloads:
-        results, times = {}, {}
-        for workers in (1, 2, 4):
-            parallel = None if workers == 1 else workers
-            results[workers], times[workers] = timed(
-                engine, comp, pred, parallel=parallel
-            )
-        # Worker count must never change the verdict or the amount of
-        # work accounted: the chunk grid is fixed, only ownership moves.
-        assert len({r.holds for r in results.values()}) == 1
-        assert (
-            len({r.stats["invocations"] for r in results.values()}) == 1
-        )
-        row(name, results[1].stats["combinations"],
-            f"{times[1]:.1f}", f"{times[2]:.1f}", f"{times[4]:.1f}",
-            f"{times[1] / times[2]:.2f}x", f"{times[1] / times[4]:.2f}x")
+            f"{ms_serial:.1f}",
+            "-" if ms_legacy is None else f"{ms_legacy / ms_serial:.2f}x")
 
 
 def t_slice() -> None:
@@ -582,7 +518,6 @@ EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "T-lattice": t_lattice,
     "T-chain": t_chain,
     "T-parallel": t_parallel,
-    "T-workers": t_workers,
     "T-slice": t_slice,
     "T-definitely": t_definitely,
     "T-online": t_online,

@@ -90,8 +90,8 @@ class Classification:
     #: monotone atoms under and/or, hence *stable* on every computation
     #: and eligible for the O(n) final-cut engine.
     monotone: bool
-    #: True iff the rewrite is conjunctive-viewable (work-optimal
-    #: engine eligible).
+    #: True iff the rewrite is conjunctive-viewable (CPDHB scan
+    #: eligible).
     conjunctive_view: bool
     #: Process count the certificate was built for (symmetric/count
     #: rewrites depend on it); None when the body never needed it.

@@ -1,8 +1,8 @@
 """Determinism lint rules (DET1xx).
 
 The reproduction's contracts — bit-for-bit fuzz reproducibility, the
-parallel sweep's deterministic first witness, byte-identical checkpoints
-and exports — all break the same way: code reads a global RNG, a wall
+combination sweep's deterministic first witness, byte-identical
+checkpoints and exports — all break the same way: code reads a global RNG, a wall
 clock, interpreter-specific ``id()`` values, or hash order.  These rules
 flag the hazard classes statically; the PYTHONHASHSEED subprocess test in
 ``tests/test_testkit_fuzz.py`` is the dynamic backstop.

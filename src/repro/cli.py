@@ -44,7 +44,7 @@ Examples::
     python -m repro simulate lock-server --variant crash-restart -o mx.json
     python -m repro detect ring.json "cs@1 & cs@3"
     python -m repro detect ring.json "cs@1 & cs@3" --profile
-    python -m repro detect ring.json "(a@0 | a@1) & (b@2 | b@3)" --parallel 4
+    python -m repro detect ring.json "(a@0 | a@1) & (b@2 | b@3)"
     python -m repro detect ring.json "count(token) >= 2" --modality definitely
     python -m repro classify ring.json \
         "lambda cut: cut.value(1, 'cs') and cut.value(3, 'cs')"
@@ -106,6 +106,7 @@ def _progress_interval() -> float:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.obs.ledger import annotate
     from repro.obs.progress import (
         DeadlineExceeded,
@@ -132,35 +133,22 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         else nullcontext()
     )
     try:
+        with prog_ctx, (
+            obs.Capture() if args.profile else nullcontext()
+        ) as cap:
+            result = detect(
+                computation,
+                predicate,
+                modality,
+                slice=not args.no_slice,
+                infer=not args.no_infer,
+            )
         if args.profile:
-            from repro import obs
-
-            with prog_ctx, obs.Capture() as cap:
-                result = detect(
-                    computation,
-                    predicate,
-                    modality,
-                    parallel=args.parallel,
-                    slice=not args.no_slice,
-                    engine=args.engine,
-                    infer=not args.no_infer,
-                )
             print("── span tree ──", file=sys.stderr)
             print(obs.format_span_tree(cap.roots), file=sys.stderr)
             print("── metrics ──", file=sys.stderr)
             print(obs.format_metrics(cap.registry.snapshot()), file=sys.stderr)
             annotate(spans=[root.to_dict() for root in cap.roots])
-        else:
-            with prog_ctx:
-                result = detect(
-                    computation,
-                    predicate,
-                    modality,
-                    parallel=args.parallel,
-                    slice=not args.no_slice,
-                    engine=args.engine,
-                    infer=not args.no_infer,
-                )
     except DeadlineExceeded as exc:
         payload = {
             "predicate": predicate.description(),
@@ -949,11 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the query's span tree and metrics snapshot to stderr",
     )
     p_detect.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="fan combination-sweep engines across N worker processes "
-        "(-1 = one per CPU); verdict and witness are unchanged",
-    )
-    p_detect.add_argument(
         "--progress", action="store_true",
         help="print rate-limited progress ticks to stderr while detecting",
     )
@@ -961,13 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="give up after MS milliseconds with a clean 'inconclusive' "
         "verdict (exit code 7) instead of running to completion",
-    )
-    p_detect.add_argument(
-        "--engine",
-        choices=["auto", "work-optimal"],
-        default="auto",
-        help="override engine dispatch: 'work-optimal' forces the "
-        "round-based conjunctive engine (possibly only)",
     )
     p_detect.add_argument(
         "--no-slice", action="store_true",

@@ -41,7 +41,6 @@ from repro.detection.singular_cnf import (
 from repro.detection.stable import detect_stable, is_stable
 from repro.detection.stoller_schneider import detect_cnf_by_literal_choice
 from repro.detection.witnesses import count_witnesses, iter_witnesses
-from repro.detection.work_optimal import detect_work_optimal
 from repro.detection.symmetric_detect import (
     definitely_symmetric,
     possibly_symmetric,
@@ -69,7 +68,6 @@ __all__ = [
     "detect_singular",
     "detect_special_case",
     "detect_stable",
-    "detect_work_optimal",
     "false_intervals",
     "find_consistent_selection",
     "is_receive_ordered",

@@ -106,29 +106,15 @@ def detect(
     computation: Computation,
     predicate: GlobalPredicate,
     modality: Modality = Modality.POSSIBLY,
-    parallel: Optional[int] = None,
     slice: bool = True,
-    engine: str = "auto",
     infer: bool = True,
 ) -> DetectionResult:
     """Full detection result for the given predicate and modality.
-
-    ``parallel`` fans combination-sweep engines (the singular k-CNF
-    process-/chain-choice drivers) across a worker pool, and sets the
-    thread count of the work-optimal engine's shared-state rounds;
-    verdicts and witnesses are identical to the serial runs.  Engines
-    without internal parallelism ignore it.
 
     ``slice`` (default True) lets enumeration-based paths restrict their
     search to the sublattice of the predicate's conjunctive
     over-approximation; pass False to force the unsliced engines.
     Verdicts are identical either way.
-
-    ``engine`` overrides dispatch: ``"auto"`` (default) picks by
-    predicate structure; ``"work-optimal"`` forces the round-based
-    engine of :mod:`repro.detection.work_optimal` for conjunctive-viewable
-    ``possibly`` queries (``slice=True`` jump-starts its chain cursors at
-    the slice box).
 
     ``infer`` (default True) lets the static classifier
     (:mod:`repro.analysis.classify`) recover class structure from opaque
@@ -142,35 +128,22 @@ def detect(
     root span ``detect.query`` recording the modality, the predicate
     class, and — once dispatch has chosen — the engine that answered.
     """
-    if engine not in ("auto", "work-optimal"):
-        raise ValueError(f"unknown engine {engine!r}")
     with span(
         "detect.query",
         modality=modality.value,
         predicate=type(predicate).__name__,
     ) as root:
         result = None
-        if engine == "work-optimal":
-            result = _work_optimal(
-                computation, predicate, modality, parallel, slice, infer
+        if infer and _is_opaque(predicate):
+            result = _inferred(computation, predicate, modality, slice)
+        if result is None and modality is Modality.POSSIBLY:
+            result = _possibly(
+                computation, predicate, use_slice=slice, infer=infer
             )
-        else:
-            if infer and _is_opaque(predicate):
-                result = _inferred(
-                    computation, predicate, modality, parallel, slice
-                )
-            if result is None and modality is Modality.POSSIBLY:
-                result = _possibly(
-                    computation,
-                    predicate,
-                    parallel=parallel,
-                    use_slice=slice,
-                    infer=infer,
-                )
-            elif result is None:
-                result = _definitely(
-                    computation, predicate, use_slice=slice, infer=infer
-                )
+        elif result is None:
+            result = _definitely(
+                computation, predicate, use_slice=slice, infer=infer
+            )
         root.set(engine=result.algorithm, holds=result.holds)
         if STATE.enabled:
             registry().counter("detect.queries").inc()
@@ -206,7 +179,6 @@ def _inferred(
     computation: Computation,
     predicate: GlobalPredicate,
     modality: Modality,
-    parallel: Optional[int],
     use_slice: bool,
 ) -> Optional[DetectionResult]:
     """Classify an opaque predicate and dispatch its certificate.
@@ -237,10 +209,7 @@ def _inferred(
             )
             if modality is Modality.POSSIBLY:
                 result = _possibly(
-                    computation,
-                    certificate.rewrite,
-                    parallel=parallel,
-                    use_slice=use_slice,
+                    computation, certificate.rewrite, use_slice=use_slice
                 )
             else:
                 result = _definitely(
@@ -257,72 +226,9 @@ def _inferred(
         )
 
 
-def _work_optimal(
-    computation: Computation,
-    predicate: GlobalPredicate,
-    modality: Modality,
-    parallel: Optional[int],
-    use_slice: bool,
-    infer: bool = True,
-) -> DetectionResult:
-    """Forced ``engine="work-optimal"`` dispatch.
-
-    The engine decides ``possibly`` of conjunctive-viewable predicates
-    (conjunctive, local, 1-CNF singular) — including, with ``infer``,
-    opaque predicates whose certified rewrite is conjunctive-viewable;
-    anything else is a structural mismatch the caller asked for
-    explicitly, so it raises instead of silently falling back.
-    """
-    from repro.detection.work_optimal import detect_work_optimal
-    from repro.predicates.errors import UnsupportedPredicateError
-
-    if modality is not Modality.POSSIBLY:
-        raise UnsupportedPredicateError(
-            "the work-optimal engine decides possibly only"
-        )
-    if isinstance(predicate, ConjunctivePredicate):
-        conj = predicate
-    elif isinstance(predicate, LocalPredicate):
-        conj = ConjunctivePredicate([predicate])
-    elif (
-        isinstance(predicate, CNFPredicate)
-        and predicate.is_conjunctive()
-        and predicate.is_singular()
-    ):
-        conj = conjunctive_from_cnf(predicate)
-    else:
-        conj = None
-        if infer and _is_opaque(predicate):
-            from repro.analysis.classify import classification_for
-
-            certificate = classification_for(predicate, computation)
-            if certificate is not None and certificate.conjunctive_view:
-                rewrite = certificate.rewrite
-                if isinstance(rewrite, ConjunctivePredicate):
-                    conj = rewrite
-                elif isinstance(rewrite, LocalPredicate):
-                    conj = ConjunctivePredicate([rewrite])
-                elif isinstance(rewrite, CNFPredicate):
-                    conj = conjunctive_from_cnf(rewrite)
-        if conj is None:
-            raise UnsupportedPredicateError(
-                "the work-optimal engine requires a conjunctive-viewable "
-                "predicate"
-            )
-    bounds = None
-    if use_slice:
-        from repro.slicing.dispatch import slice_info
-
-        bounds = slice_info(computation, conj).bounds
-    return detect_work_optimal(
-        computation, conj, parallel=parallel, bounds=bounds
-    )
-
-
 def _possibly(
     computation: Computation,
     predicate: GlobalPredicate,
-    parallel: Optional[int] = None,
     use_slice: bool = True,
     infer: bool = True,
 ) -> DetectionResult:
@@ -338,9 +244,7 @@ def _possibly(
                 computation, conjunctive_from_cnf(predicate)
             )
         if predicate.is_singular():
-            return detect_singular(
-                computation, predicate, strategy="auto", parallel=parallel
-            )
+            return detect_singular(computation, predicate, strategy="auto")
         # Non-singular CNF: the Stoller–Schneider decomposition into
         # conjunctive sub-problems (exponential in clauses, but each
         # sub-problem is a linear scan — far cheaper than the lattice).
@@ -355,11 +259,7 @@ def _possibly(
             explored = 0
             for part in predicate.parts:
                 result = _possibly(
-                    computation,
-                    part,
-                    parallel=parallel,
-                    use_slice=use_slice,
-                    infer=infer,
+                    computation, part, use_slice=use_slice, infer=infer
                 )
                 explored += int(result.stats.get("cuts_explored", 0))
                 if result.holds:

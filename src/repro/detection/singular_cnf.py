@@ -48,7 +48,6 @@ from repro.events import EventId
 from repro.obs import StatCounters, span
 from repro.obs.progress import tracker
 from repro.perf.causality import CausalityIndex
-from repro.perf.parallel import resolve_workers, run_combination_search
 from repro.predicates.boolean import Clause, CNFPredicate
 from repro.predicates.errors import UnsupportedPredicateError
 
@@ -172,9 +171,7 @@ def detect_special_case(
 
 
 def detect_by_process_choice(
-    computation: Computation,
-    predicate: CNFPredicate,
-    parallel: Optional[int] = None,
+    computation: Computation, predicate: CNFPredicate
 ) -> DetectionResult:
     """Try every one-process-per-group choice; CPDHB on each (Section 3.3a)."""
     groups = _groups(predicate)
@@ -189,14 +186,11 @@ def detect_by_process_choice(
         predicate,
         per_group_chains,
         algorithm="process-choice",
-        parallel=parallel,
     )
 
 
 def detect_by_chain_choice(
-    computation: Computation,
-    predicate: CNFPredicate,
-    parallel: Optional[int] = None,
+    computation: Computation, predicate: CNFPredicate
 ) -> DetectionResult:
     """Try every one-chain-per-group choice; CPDHB on each (Section 3.3b).
 
@@ -217,7 +211,6 @@ def detect_by_chain_choice(
         predicate,
         per_group_chains,
         algorithm="chain-choice",
-        parallel=parallel,
     )
 
 
@@ -226,17 +219,14 @@ def _detect_by_combinations(
     predicate: CNFPredicate,
     per_group_chains: Sequence[Sequence[List[EventId]]],
     algorithm: str,
-    parallel: Optional[int] = None,
 ) -> DetectionResult:
     """Shared driver: CPDHB over every combination of one chain per group.
 
-    With ``parallel`` > 1 the combination ranks are fanned across a
-    multiprocessing pool (:mod:`repro.perf.parallel`); verdict and witness
-    are identical to the serial sweep by construction, and the serial loop
-    is the automatic fallback when no pool can be created.
+    Combinations are ranked in ``itertools.product`` order; the first
+    successful rank supplies the witness, whether the sweep runs the
+    per-rank scan or the batched block kernel.
     """
     total = math.prod(len(chains) for chains in per_group_chains)
-    workers = resolve_workers(parallel, total)
     with span(
         f"engine.{algorithm}",
         groups=len(per_group_chains),
@@ -245,7 +235,6 @@ def _detect_by_combinations(
         index = CausalityIndex.of(computation)
         stats = StatCounters(f"engine.{algorithm}")
         stats.set("combinations", total)
-        stats.set("workers", workers)
         stats.inc("invocations", 0)
         stats.inc("advances", 0)
 
@@ -270,26 +259,12 @@ def _detect_by_combinations(
             # Some group has no true event at all: the clause can never hold.
             return _finish(False)
 
-        if workers > 1:
-            outcome = run_combination_search(
-                computation, per_group_chains, workers
-            )
-            if outcome is not None:
-                stats.inc("invocations", outcome.invocations)
-                stats.inc("advances", outcome.advances)
-                return _finish(
-                    outcome.selection is not None, outcome.selection
-                )
-            # Pool creation failed (restricted sandbox): serial fallback.
-            stats.set("workers", 1)
-
         trk = tracker("detect.combinations", total=total)
         if use_batched_sweep(total):
             # Large sweeps: score a whole block of ranks per call with the
             # vectorized work-optimal rounds.  Every rank of a consumed
             # block runs to its verdict, so ``invocations`` counts whole
-            # blocks — the same accounting the pooled driver uses, keeping
-            # serial and parallel counters identical.
+            # blocks.
             sweep = CombinationSweep(
                 computation, per_group_chains, index=index
             )
@@ -325,18 +300,12 @@ def detect_singular(
     computation: Computation,
     predicate: CNFPredicate,
     strategy: str = "auto",
-    parallel: Optional[int] = None,
 ) -> DetectionResult:
     """Facade for singular k-CNF ``possibly`` detection.
 
     Strategies: ``"auto"`` (polynomial special case when applicable, else
     chain-choice), ``"special"``, ``"process-choice"``, ``"chain-choice"``,
     ``"enumerate"`` (Cooper–Marzullo baseline).
-
-    ``parallel`` fans the combination sweep of the process-choice and
-    chain-choice engines across a worker pool (negative = one worker per
-    CPU); verdicts and witnesses are unchanged.  Ignored by strategies
-    that run no combination sweep.
     """
     if strategy == "auto":
         groups = _groups(predicate)
@@ -348,19 +317,13 @@ def detect_singular(
                 return _detect_special_given(
                     computation, predicate, groups, variant
                 )
-            return detect_by_chain_choice(
-                computation, predicate, parallel=parallel
-            )
+            return detect_by_chain_choice(computation, predicate)
     if strategy == "special":
         return detect_special_case(computation, predicate)
     if strategy == "process-choice":
-        return detect_by_process_choice(
-            computation, predicate, parallel=parallel
-        )
+        return detect_by_process_choice(computation, predicate)
     if strategy == "chain-choice":
-        return detect_by_chain_choice(
-            computation, predicate, parallel=parallel
-        )
+        return detect_by_chain_choice(computation, predicate)
     if strategy == "enumerate":
         return possibly_enumerate(computation, predicate)
     raise ValueError(f"unknown strategy {strategy!r}")

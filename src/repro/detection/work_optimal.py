@@ -1,9 +1,12 @@
-"""Work-optimal parallel conjunctive detection (arXiv 2008.12516).
+"""Batched combination sweep for the Section 3.3 engines (arXiv 2008.12516).
 
-Garg's work-optimal algorithm replaces the CPDHB scan's one-elimination-
-at-a-time walk with synchronous *rounds* over the chain decomposition of
-the candidate events (for a conjunctive predicate: one chain per
-conjunct, its true events in local order).  Each round:
+The process-choice and chain-choice engines of
+:mod:`repro.detection.singular_cnf` run the CPDHB elimination once per
+combination of one chain per group.  :class:`CombinationSweep` scores a
+whole block of combination ranks at once with Garg's work-optimal
+*rounds* instead of ``B`` interpreted
+:class:`~repro.detection.garg_waldecker.SelectionScan` runs.  Each round,
+for every live combination:
 
 1. **join** — compute the *need* vector, the componentwise join of the
    clocks of the currently selected candidates
@@ -12,65 +15,45 @@ conjunct, its true events in local order).  Each round:
    ``need[p] <= i + 1``: a violation means some other selected ``f`` has
    ``clk(f)[p] > i + 1``, i.e. ``succ(e) ⊑ f``, the classical CPDHB
    elimination (``e`` can pair with nothing at or after ``f``);
-3. **advance** — every eliminated chain *jumps* its cursor to the first
-   event with own-component ``>= need[p]`` (every skipped event is
-   eliminated by the same witness ``f``), a binary search instead of a
-   step-by-step walk.
+3. **advance** — every eliminated chain moves its cursor to the first
+   later event that satisfies the round's need vector (every skipped
+   event is eliminated by the same witness ``f``).
 
 A round with no eliminations is a fixpoint, which is exactly pairwise
-consistency of the selection; an exhausted chain proves ``¬possibly``.
-All eliminations in a round are independent, so the round parallelizes
-over chains with two barriers (partial joins, then advances) — the
-shared-state structure behind ``parallel=N`` — and both the serial and
-the parallel schedule converge to the **least** consistent selection,
-making verdict *and* witness identical to the CPDHB scan.
-
-The same rounds, run over a *batch* of combination cursors at once, give
-:class:`CombinationSweep`: the Section 3.3 process-/chain-choice sweeps
-score each combination with a handful of ``(B, m, n)`` array joins
-instead of ``B`` interpreted Python scans.  Cross-process chain-cover
-chains advance step-wise (the jump target's process may change), which is
-still sound: each step re-checks the new candidate against the round's
-need vector, and the own-chain contribution to *need* can never eliminate
-a later event of the same chain (its clock is dominated by theirs).
+consistency of the selection; an exhausted chain kills the combination.
+The rounds converge to the **least** consistent selection, so verdict
+*and* witness equal the per-rank CPDHB scan.  Cross-process chain-cover
+chains may hop processes, so each candidate is re-checked against the
+need vector at its own process; the own-chain contribution to *need* can
+never eliminate a later event of the same chain (its clock is dominated
+by theirs).
 
 Clock reads go through the computation's
-:class:`~repro.perf.clockmatrix.ClockMatrix`; with numpy absent the
-engine runs the identical rounds over raw clock tuples.
+:class:`~repro.perf.clockmatrix.ClockMatrix` and need numpy; without it
+the engines keep the per-rank scan (:func:`use_batched_sweep`).
 """
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-from repro.computation import Computation, least_consistent_cut
-from repro.detection.result import DetectionResult
+from repro.computation import Computation
 from repro.events import EventId
-from repro.obs import StatCounters, span
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import numpy_available
-from repro.predicates.conjunctive import ConjunctivePredicate
-from repro.predicates.local import true_events
 
 __all__ = [
-    "detect_work_optimal",
     "CombinationSweep",
     "use_batched_sweep",
     "VEC_MIN_COMBINATIONS",
     "VEC_CHUNK",
 ]
 
-Frontier = Tuple[int, ...]
-
 #: Below this many combinations a per-rank CPDHB scan beats the batched
-#: kernel's fixed array overhead; the gate must be a pure function of the
-#: sweep size so serial drivers and pool workers always agree on it.
+#: kernel's fixed array overhead.
 VEC_MIN_COMBINATIONS = 64
-#: Ranks per batched block.  Worker-count *independent* (unlike the
-#: per-rank chunking) so a serial sweep and any pool consume identical
-#: blocks — the invocations/advances parity the tests pin down.
+#: Ranks per batched block: bounds the ``(B, m, n)`` working arrays while
+#: amortizing the per-call numpy overhead over many ranks.
 VEC_CHUNK = 4096
 
 
@@ -79,279 +62,6 @@ def use_batched_sweep(total: int) -> bool:
     return numpy_available() and total >= VEC_MIN_COMBINATIONS
 
 
-# ----------------------------------------------------------------------
-# The work-optimal engine (one conjunctive predicate)
-# ----------------------------------------------------------------------
-def _round_python(
-    index: CausalityIndex,
-    chains: Sequence[Sequence[EventId]],
-    positions: Sequence[Sequence[int]],
-    cursor: List[int],
-    owners: List[List[int]],
-) -> Tuple[int, bool]:
-    """One serial elimination round on raw clock tuples.
-
-    Returns ``(eliminations, exhausted)``; zero eliminations = fixpoint.
-    """
-    n = index.num_processes
-    clk = index._clk
-    need = [0] * n
-    for i, chain in enumerate(chains):
-        p, idx = chain[cursor[i]]
-        clock = clk[p][idx]
-        for q in range(n):
-            if clock[q] > need[q]:
-                need[q] = clock[q]
-    advances = 0
-    for i, chain in enumerate(chains):
-        p = chain[cursor[i]][0]
-        target = need[p]
-        if target <= positions[i][cursor[i]]:
-            continue
-        nxt = bisect_left(positions[i], target, lo=cursor[i] + 1)
-        advances += nxt - cursor[i]
-        cursor[i] = nxt
-        if nxt >= len(chain):
-            return advances, True
-    return advances, False
-
-
-def _run_rounds_serial(
-    matrix,
-    index: CausalityIndex,
-    chains: Sequence[Sequence[EventId]],
-    positions: Sequence[Sequence[int]],
-    cursor: List[int],
-    stats: StatCounters,
-    vectorized: bool,
-) -> Optional[List[EventId]]:
-    """Round loop to fixpoint or exhaustion; returns the selection."""
-    rows = [matrix.rows_of(chain) for chain in chains] if vectorized else None
-    owners = [[e[0] for e in chain] for chain in chains]
-    while True:
-        stats.inc("rounds")
-        if vectorized:
-            need = matrix.join_rows(
-                [rows[i][cursor[i]] for i in range(len(chains))]
-            )
-            advances = 0
-            exhausted = False
-            for i, chain in enumerate(chains):
-                target = need[owners[i][cursor[i]]]
-                if target <= positions[i][cursor[i]]:
-                    continue
-                nxt = bisect_left(positions[i], target, lo=cursor[i] + 1)
-                advances += nxt - cursor[i]
-                cursor[i] = nxt
-                if nxt >= len(chain):
-                    exhausted = True
-                    break
-        else:
-            advances, exhausted = _round_python(
-                index, chains, positions, cursor, owners
-            )
-        stats.inc("advances", advances)
-        if exhausted:
-            return None
-        if advances == 0:
-            return [chains[i][cursor[i]] for i in range(len(chains))]
-
-
-def _run_rounds_parallel(
-    matrix,
-    index: CausalityIndex,
-    chains: Sequence[Sequence[EventId]],
-    positions: Sequence[Sequence[int]],
-    cursor: List[int],
-    stats: StatCounters,
-    vectorized: bool,
-    workers: int,
-) -> Optional[List[EventId]]:
-    """The shared-state parallel schedule: two barriers per round.
-
-    Chains are partitioned across threads; per round each thread joins
-    the clocks of *its* selected candidates into a partial need vector,
-    the partials merge at a barrier (max is commutative, so the merged
-    vector equals the serial round's), and each thread then advances its
-    own chains.  Rounds, eliminations, and the final selection are
-    bit-identical to the serial schedule.
-    """
-    m = len(chains)
-    n = index.num_processes
-    slices = [list(range(t, m, workers)) for t in range(workers)]
-    rows = [matrix.rows_of(chain) for chain in chains] if vectorized else None
-    clk = index._clk
-    barrier = threading.Barrier(workers)
-    partial: List[Optional[Tuple[int, ...]]] = [None] * workers
-    eliminated = [0] * workers
-    exhausted = [False] * workers
-    state = {"need": None, "rounds": 0, "advances": 0, "done": False}
-
-    def joined(mine: Sequence[int]) -> Tuple[int, ...]:
-        if vectorized:
-            return matrix.join_rows([rows[i][cursor[i]] for i in mine])
-        need = [0] * n
-        for i in mine:
-            p, idx = chains[i][cursor[i]]
-            clock = clk[p][idx]
-            for q in range(n):
-                if clock[q] > need[q]:
-                    need[q] = clock[q]
-        return tuple(need)
-
-    def worker(t: int) -> None:
-        mine = slices[t]
-        while True:
-            partial[t] = joined(mine) if mine else (0,) * n
-            barrier.wait()
-            if t == 0:
-                merged = [0] * n
-                for vec in partial:
-                    for q in range(n):
-                        if vec[q] > merged[q]:
-                            merged[q] = vec[q]
-                state["need"] = merged
-                state["rounds"] += 1
-            barrier.wait()
-            need = state["need"]
-            count = 0
-            dead = False
-            for i in mine:
-                target = need[chains[i][cursor[i]][0]]
-                if target <= positions[i][cursor[i]]:
-                    continue
-                nxt = bisect_left(positions[i], target, lo=cursor[i] + 1)
-                count += nxt - cursor[i]
-                cursor[i] = nxt
-                if nxt >= len(chains[i]):
-                    dead = True
-                    break
-            eliminated[t] = count
-            exhausted[t] = dead
-            barrier.wait()
-            if t == 0:
-                state["advances"] += sum(eliminated)
-                state["done"] = any(exhausted) or sum(eliminated) == 0
-            barrier.wait()
-            if state["done"]:
-                return
-
-    threads = [
-        threading.Thread(target=worker, args=(t,), daemon=True)
-        for t in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    stats.inc("rounds", state["rounds"])
-    stats.inc("advances", state["advances"])
-    if any(exhausted):
-        return None
-    return [chains[i][cursor[i]] for i in range(m)]
-
-
-def detect_work_optimal(
-    computation: Computation,
-    predicate: ConjunctivePredicate,
-    parallel: Optional[int] = None,
-    bounds: Optional[Tuple[Frontier, Frontier]] = None,
-    vectorized: Optional[bool] = None,
-) -> DetectionResult:
-    """Decide ``possibly`` of a conjunctive predicate by elimination rounds.
-
-    Verdict and witness are identical to
-    :func:`~repro.detection.garg_waldecker.detect_conjunctive` (both
-    converge to the least consistent selection); the work differs —
-    ``rounds`` batched joins instead of one comparison per elimination.
-
-    ``parallel`` > 1 runs the shared-state round schedule over that many
-    threads (clamped to the chain count).  ``bounds`` — a slice box from
-    :mod:`repro.slicing` — jump-starts each cursor at the box's least
-    frontier (every solution selects at or above it).  ``vectorized``
-    forces the numpy kernels on/off; default follows availability.
-    """
-    with span(
-        "engine.work-optimal", conjuncts=len(predicate.conjuncts)
-    ) as sp:
-        index = CausalityIndex.of(computation)
-        vectorized = (
-            numpy_available() if vectorized is None else bool(vectorized)
-        )
-        chains: List[List[EventId]] = [
-            true_events(computation, conjunct)
-            for conjunct in predicate.conjuncts
-        ]
-        stats = StatCounters("engine.work-optimal")
-        stats.set("chains", len(chains))
-        stats.inc("rounds", 0)
-        stats.inc("advances", 0)
-
-        def _finish(selection: Optional[List[EventId]]) -> DetectionResult:
-            sp.set(holds=selection is not None)
-            index.maybe_flush_metrics()
-            if selection is None:
-                return DetectionResult(
-                    holds=False,
-                    algorithm="work-optimal",
-                    stats=stats.as_dict(),
-                )
-            witness = least_consistent_cut(computation, selection)
-            assert witness is not None, (
-                "fixpoint selection must admit a consistent cut"
-            )
-            assert predicate.evaluate(witness)
-            return DetectionResult(
-                holds=True,
-                witness=witness,
-                algorithm="work-optimal",
-                stats=stats.as_dict(),
-            )
-
-        workers = 1
-        if parallel is not None and parallel not in (0, 1):
-            import os
-
-            requested = (
-                os.cpu_count() or 1 if parallel < 0 else int(parallel)
-            )
-            workers = max(1, min(requested, len(chains)))
-        stats.set("workers", workers)
-        if not chains or any(not chain for chain in chains):
-            sp.set(holds=False)
-            return _finish(None if chains else [])
-        positions: List[List[int]] = [
-            [e[1] + 1 for e in chain] for chain in chains
-        ]
-        cursor = [0] * len(chains)
-        if bounds is not None:
-            least = bounds[0]
-            for i, chain in enumerate(chains):
-                floor = least[chain[0][0]] if chain else 1
-                start = bisect_left(positions[i], floor)
-                stats.inc("advances", start)
-                cursor[i] = start
-                if start >= len(chain):
-                    return _finish(None)
-        matrix = index.matrix if vectorized else None
-        if vectorized and not matrix.use_numpy:
-            vectorized = False
-            matrix = None
-        if workers > 1:
-            selection = _run_rounds_parallel(
-                matrix, index, chains, positions, cursor, stats,
-                vectorized, workers,
-            )
-        else:
-            selection = _run_rounds_serial(
-                matrix, index, chains, positions, cursor, stats, vectorized
-            )
-        return _finish(selection)
-
-
-# ----------------------------------------------------------------------
-# Batched combination sweep (Section 3.3 drivers)
-# ----------------------------------------------------------------------
 class CombinationSweep:
     """Vectorized work-optimal scoring of combination-rank blocks.
 

@@ -24,9 +24,7 @@ Activation is scoped::
     with progress_context(sink=print_event, deadline_ms=5000):
         detect(computation, predicate)     # long loops now tick
 
-The context is installed process-globally (mirroring ``obs.STATE``);
-worker processes of the parallel sweep clear it on startup, so pacing
-and deadline enforcement stay in the driving process.
+The context is installed process-globally (mirroring ``obs.STATE``).
 """
 
 from __future__ import annotations

@@ -6,17 +6,11 @@ Three pieces, layered under :mod:`repro.detection`:
   memoized causality queries (raw-clock ``leq`` fast path, precomputed
   successor arrays, cached per-clause true events / chain covers /
   orderedness verdicts);
+* :class:`~repro.perf.clockmatrix.ClockMatrix` — every vector clock in
+  one struct-of-arrays matrix with batched causality kernels, built
+  once per computation as ``CausalityIndex.matrix``;
 * :class:`~repro.perf.interning.CutInterner` — one canonical ``Cut``
-  per frontier tuple, so lattice walks track plain tuples;
-* :mod:`repro.perf.parallel` — a chunked ``multiprocessing`` driver for
-  the Section 3.3 combination sweeps with deterministic first-witness
-  semantics and early cancellation.
-
-This package deliberately does **not** import ``repro.perf.parallel``
-here: that module depends on :mod:`repro.detection` (for the CPDHB scan)
-and importing it at package level would cycle through the detection
-engines, which themselves import the causality index.  Import it
-explicitly as ``from repro.perf.parallel import run_combination_search``.
+  per frontier tuple, so lattice walks track plain tuples.
 
 Cache behaviour is observable through the ``perf.*`` metrics documented
 in ``docs/OBSERVABILITY.md``.

@@ -3,7 +3,7 @@ which ground truth.
 
 The library has three verdict-producing layers — the detection engines, the
 SAT reductions, and the brute-force oracles — plus fast-path variants
-(memoized indices, ``parallel=N`` sweeps) that must all agree.  This module
+(memoized indices, sliced enumeration) that must all agree.  This module
 makes the agreement obligation *data*: every predicate class maps to the
 full set of applicable engines and to one exponential ground-truth oracle.
 
@@ -345,48 +345,6 @@ def _build_default() -> OracleRegistry:
         )
         return sliced.holds
 
-    def make_work_optimal(
-        parallel: Optional[int] = None,
-        sliced: bool = False,
-        vectorized: Optional[bool] = None,
-    ) -> EngineFn:
-        """A work-optimal variant with full parity checks against CPDHB:
-        equal verdicts, and on True the identical witness frontier (both
-        engines converge to the least consistent selection).  A broken
-        parity raises, which the fuzzer records as a crash finding."""
-
-        def run(comp: Computation, pred: GlobalPredicate) -> bool:
-            from repro.detection import detect_work_optimal
-
-            conj = as_conjunctive(pred)
-            bounds = None
-            if sliced:
-                from repro.slicing.dispatch import slice_info
-
-                bounds = slice_info(comp, conj).bounds
-            result = detect_work_optimal(
-                comp,
-                conj,
-                parallel=parallel,
-                bounds=bounds,
-                vectorized=vectorized,
-            )
-            reference = detect_conjunctive(comp, conj)
-            assert result.holds == reference.holds, (
-                f"verdict mismatch: work-optimal={result.holds} "
-                f"cpdhb={reference.holds}"
-            )
-            if result.holds:
-                assert result.witness is not None
-                assert result.witness.frontier == reference.witness.frontier, (
-                    f"witness mismatch: work-optimal="
-                    f"{result.witness.frontier} "
-                    f"cpdhb={reference.witness.frontier}"
-                )
-            return result.holds
-
-        return run
-
     def run_clockmatrix_roundtrip(
         comp: Computation, pred: GlobalPredicate
     ) -> bool:
@@ -442,18 +400,6 @@ def _build_default() -> OracleRegistry:
     for engine in [
         EngineSpec("cpdhb", P, run_cpdhb),
         EngineSpec("slice", P, run_slice),
-        EngineSpec("work-optimal", P, make_work_optimal()),
-        EngineSpec(
-            "work-optimal-parallel2", P, make_work_optimal(parallel=2)
-        ),
-        EngineSpec(
-            "work-optimal-sliced", P, make_work_optimal(sliced=True)
-        ),
-        EngineSpec(
-            "work-optimal-pyfallback",
-            P,
-            make_work_optimal(vectorized=False),
-        ),
         EngineSpec(
             "clockmatrix-roundtrip",
             P,
@@ -476,14 +422,6 @@ def _build_default() -> OracleRegistry:
             "process-choice",
             P,
             lambda c, p: detect_by_process_choice(c, as_cnf(p)).holds,
-            applies=_has_cnf_view,
-        ),
-        EngineSpec(
-            "chain-choice-parallel2",
-            P,
-            lambda c, p: detect_by_chain_choice(
-                c, as_cnf(p), parallel=2
-            ).holds,
             applies=_has_cnf_view,
         ),
         EngineSpec(
@@ -558,11 +496,6 @@ def _build_default() -> OracleRegistry:
             "process-choice",
             P,
             lambda c, p: detect_by_process_choice(c, p).holds,
-        ),
-        EngineSpec(
-            "chain-choice-parallel2",
-            P,
-            lambda c, p: detect_by_chain_choice(c, p, parallel=2).holds,
         ),
         EngineSpec(
             "literal-choice",

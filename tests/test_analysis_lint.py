@@ -164,7 +164,7 @@ class TestDocsConformance:
         assert keys.match_span(["engine", "cpdhb"]) is not None
         assert keys.match_metric(["monitor", "gaps"]) is not None
         assert keys.match_metric(["engine", "cpdhb", "advances"]) is not None
-        assert keys.match_metric(["perf", "pool", "workers"]) is not None
+        assert keys.match_metric(["perf", "clockmatrix", "rows"]) is not None
         # Engine stats come only from the ALGORITHMS.md table now; an
         # undocumented stat key must not match.
         assert keys.match_metric(["engine", "cpdhb", "bogus"]) is None
@@ -240,7 +240,7 @@ class TestKeyPatterns:
 
     def test_trailing_star_matches_one_or_more(self):
         pattern = self.pattern("perf.*")
-        assert pattern.matches(["perf", "pool", "workers"])
+        assert pattern.matches(["perf", "clockmatrix", "rows"])
         assert not pattern.matches(["perf"])
 
     def test_hole_absorbs_pattern_segments(self):

@@ -6,24 +6,19 @@ Every kernel — ``leq_rows``, ``happened_before_rows``,
 — is checked element-wise against ``VectorClock.__le__`` /
 ``CausalityIndex`` on arbitrary generated computations *and* on
 simulator traces with crash/restart epochs, for both the numpy and the
-pure-Python backend.  The work-optimal engine's verdict/witness parity
-with CPDHB rides on the same instances.
+pure-Python backend.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.computation import initial_cut
-from repro.detection import detect, detect_conjunctive, detect_work_optimal
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import ClockMatrix, numpy_available
-from repro.predicates import Modality, conjunctive, local
-from repro.predicates.errors import UnsupportedPredicateError
 from repro.simulation import CrashSpec, FaultPlan
 from repro.simulation.protocols import build_token_ring
 from repro.trace.generator import BoolVar, random_computation
@@ -157,87 +152,3 @@ class TestKernelParity:
         assert closure[process] >= minimum
         assert all(c >= s for c, s in zip(closure, start))
         assert index.interner.get(closure).is_consistent()
-
-
-class TestWorkOptimalEngine:
-    @settings(max_examples=40, deadline=None)
-    @given(computations(), st.data())
-    def test_verdict_and_witness_match_cpdhb(self, comp, data):
-        pred = conjunctive(
-            *(
-                local(p, "x", negated=data.draw(st.booleans()))
-                for p in range(comp.num_processes)
-            )
-        )
-        reference = detect_conjunctive(comp, pred)
-        for parallel in (None, 2):
-            for vectorized in (None, False):
-                result = detect_work_optimal(
-                    comp, pred, parallel=parallel, vectorized=vectorized
-                )
-                assert result.holds == reference.holds
-                assert result.algorithm == "work-optimal"
-                if reference.holds:
-                    assert (
-                        result.witness.frontier
-                        == reference.witness.frontier
-                    )
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 500), st.booleans())
-    def test_crash_epoch_traces(self, seed, restart):
-        comp = crash_ring(seed, restart)
-        pred = conjunctive(local(0, "cs"), local(1, "cs"))
-        reference = detect_conjunctive(comp, pred)
-        result = detect_work_optimal(comp, pred)
-        assert result.holds == reference.holds
-        if reference.holds:
-            assert result.witness.frontier == reference.witness.frontier
-
-    def test_stats_shape(self):
-        comp = random_computation(
-            3, 4, 0.4, seed=5, variables=[BoolVar("x", density=0.6)]
-        )
-        pred = conjunctive(*(local(p, "x") for p in range(3)))
-        result = detect_work_optimal(comp, pred, parallel=2)
-        assert set(result.stats) == {
-            "chains",
-            "rounds",
-            "advances",
-            "workers",
-        }
-        assert result.stats["chains"] == 3
-        assert result.stats["workers"] == 2
-
-    def test_detect_engine_override(self):
-        comp = random_computation(
-            3, 4, 0.4, seed=6, variables=[BoolVar("x", density=0.6)]
-        )
-        pred = conjunctive(*(local(p, "x") for p in range(3)))
-        auto = detect(comp, pred)
-        forced = detect(comp, pred, engine="work-optimal")
-        assert forced.algorithm == "work-optimal"
-        assert forced.holds == auto.holds
-        with pytest.raises(ValueError):
-            detect(comp, pred, engine="bogus")
-        with pytest.raises(UnsupportedPredicateError):
-            detect(
-                comp,
-                pred,
-                modality=Modality.DEFINITELY,
-                engine="work-optimal",
-            )
-
-    def test_slice_bounds_jump_start_preserves_witness(self):
-        for seed in range(30):
-            comp = random_computation(
-                3, 5, 0.4, seed=seed, variables=[BoolVar("x", density=0.5)]
-            )
-            pred = conjunctive(*(local(p, "x") for p in range(3)))
-            unsliced = detect(comp, pred, engine="work-optimal", slice=False)
-            sliced = detect(comp, pred, engine="work-optimal", slice=True)
-            assert sliced.holds == unsliced.holds
-            if sliced.holds:
-                assert (
-                    sliced.witness.frontier == unsliced.witness.frontier
-                )

@@ -10,11 +10,10 @@ from repro.computation import ComputationBuilder
 from repro.detection import (
     SelectionScan,
     detect_conjunctive,
-    detect_singular,
     find_consistent_selection,
     possibly_enumerate,
 )
-from repro.predicates import clause, conjunctive, local, singular_cnf
+from repro.predicates import conjunctive, local
 from repro.predicates.local import true_events
 from repro.trace import BoolVar, random_computation
 
@@ -98,27 +97,6 @@ class TestSelectionScanProperties:
         assert fast.run() == slow.run()
         assert fast.advances == slow.advances
         assert fast.comparisons == slow.comparisons
-
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_parallel_driver_matches_serial_scan(self, seed):
-        """Verdict, witness, and scan count are worker-count invariant."""
-        comp = random_computation(
-            4, 5, 0.3, seed=seed, variables=[BoolVar("x", density=0.4)]
-        )
-        pred = singular_cnf(
-            clause(local(0, "x"), local(1, "x")),
-            clause(local(2, "x"), local(3, "x")),
-        )
-        serial = detect_singular(comp, pred, strategy="chain-choice")
-        parallel = detect_singular(
-            comp, pred, strategy="chain-choice", parallel=2
-        )
-        assert parallel.holds == serial.holds
-        assert parallel.stats["invocations"] == serial.stats["invocations"]
-        assert parallel.stats["advances"] == serial.stats["advances"]
-        if serial.holds:
-            assert parallel.witness.frontier == serial.witness.frontier
 
 
 class TestDetectConjunctive:
