@@ -147,7 +147,11 @@ class _KeyCollector(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "span" and node.args:
+        if (
+            isinstance(func, ast.Name)
+            and func.id in ("span", "layer_span")
+            and node.args
+        ):
             segments = key_from_ast(node.args[0])
             if segments is not None:
                 self.spans.append((node, segments))

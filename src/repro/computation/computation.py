@@ -10,14 +10,17 @@ their receive events.  The induced irreflexive partial order *precedes*
 * the message edges, and
 * "every initial event precedes every non-initial event" (paper, Section 2.1).
 
-The class precomputes Fidge–Mattern vector clocks in one topological pass,
-which simultaneously verifies acyclicity.  All causality and consistency
-queries then run in O(n) (n = number of processes) or better.
+The class computes every event's Fidge–Mattern vector clock once, at
+construction, into one table of component tuples (:attr:`clock_table`);
+the same sweep verifies acyclicity.  Every consumer reads that table:
+happened-before and pairwise consistency are O(1) component reads, cut
+consistency is O(n^2) (n = number of processes), and
+:class:`repro.perf.causality.CausalityIndex` and its clock matrix are
+built from it without recomputing a clock.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Dict,
     Iterable,
@@ -35,11 +38,19 @@ from repro.computation.errors import (
     UnknownEventError,
 )
 from repro.events import Event, EventId, EventKind, VectorClock
+from repro.obs.spans import layer_span
 
 __all__ = ["Computation", "MessageEdge"]
 
 #: A message edge relates a send event to its receive event.
 MessageEdge = Tuple[EventId, EventId]
+
+#: Kinds that may send, resp. receive, a message.
+_SENDS = frozenset(kind for kind in EventKind if kind.is_send)
+_RECEIVES = frozenset(kind for kind in EventKind if kind.is_receive)
+
+#: ``table[p][i]`` is the clock component tuple of event ``(p, i)``.
+ClockTable = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 
 class Computation:
@@ -61,6 +72,9 @@ class Computation:
     Raises:
         ComputationError: On malformed inputs.
         CyclicComputationError: If local order plus message edges is cyclic.
+
+    Construction validates the inputs once and computes all vector clocks
+    into :attr:`clock_table`; no query recomputes or re-validates a clock.
     """
 
     def __init__(
@@ -72,21 +86,26 @@ class Computation:
     ):
         if not process_events:
             raise ComputationError("a computation needs at least one process")
-        self._meta: Dict[str, object] = dict(meta) if meta else {}
-        self._events: Tuple[Tuple[Event, ...], ...] = tuple(
-            tuple(seq) for seq in process_events
-        )
-        self._messages: Tuple[MessageEdge, ...] = tuple(messages)
-        self._validate_events()
-        self._validate_messages()
-        # Message adjacency by event id.
-        self._sent_from: Dict[EventId, List[EventId]] = {}
-        self._received_at: Dict[EventId, List[EventId]] = {}
-        for send_id, recv_id in self._messages:
-            self._sent_from.setdefault(send_id, []).append(recv_id)
-            self._received_at.setdefault(recv_id, []).append(send_id)
-        self._clocks: Dict[EventId, VectorClock] = {}
-        self._compute_clocks()
+        processes = len(process_events)
+        with layer_span("computation.build", processes=processes) as sp:
+            self._meta: Dict[str, object] = dict(meta) if meta else {}
+            self._events: Tuple[Tuple[Event, ...], ...] = tuple(
+                tuple(seq) for seq in process_events
+            )
+            self._messages: Tuple[MessageEdge, ...] = tuple(messages)
+            self._validate_events()
+            self._validate_messages()
+            # Message adjacency by event id.
+            self._sent_from: Dict[EventId, List[EventId]] = {}
+            self._received_at: Dict[EventId, List[EventId]] = {}
+            for send_id, recv_id in self._messages:
+                self._sent_from.setdefault(send_id, []).append(recv_id)
+                self._received_at.setdefault(recv_id, []).append(send_id)
+            with layer_span("computation.clocks"):
+                self._clk: ClockTable = _clock_table(
+                    [len(seq) for seq in self._events], self._messages
+                )
+            sp.set(events=self.total_events(), messages=len(self._messages))
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -183,11 +202,26 @@ class Computation:
         """Send events of the messages received at ``event_id``."""
         return tuple(self._received_at.get(event_id, ()))
 
+    @property
+    def clock_table(self) -> ClockTable:
+        """All vector clocks: ``clock_table[p][i]`` is the component tuple
+        of event ``(p, i)``.
+
+        Computed once at construction and shared, not copied, by every
+        consumer (:class:`~repro.perf.causality.CausalityIndex`, its clock
+        matrix, :class:`~repro.computation.cut.Cut`).  Component ``q``
+        counts the events of process ``q``, initial event included, that
+        precede or equal the event.  An initial event ``(p, 0)`` carries
+        the unit vector of ``p``.
+        """
+        return self._clk
+
     def clock(self, event_id: EventId) -> VectorClock:
-        """The Fidge–Mattern vector clock of the event."""
-        if event_id not in self._clocks:
+        """The Fidge–Mattern vector clock of the event (a view of its row
+        in :attr:`clock_table`)."""
+        if not self.has_event(event_id):
             raise UnknownEventError(event_id)
-        return self._clocks[event_id]
+        return VectorClock.unchecked(self._clk[event_id[0]][event_id[1]])
 
     # ------------------------------------------------------------------
     # Causality queries
@@ -203,7 +237,7 @@ class Computation:
             return False
         if not self.has_event(e):
             raise UnknownEventError(e)
-        if f not in self._clocks:
+        if not self.has_event(f):
             raise UnknownEventError(f)
         # Initial events precede all non-initial events (paper, Section 2.1);
         # distinct initial events are incomparable.
@@ -211,7 +245,7 @@ class Computation:
             return f[1] != 0
         if f[1] == 0:
             return False
-        return self._clocks[f][e[0]] >= e[1] + 1
+        return self._clk[f[0]][f[1]][e[0]] > e[1]
 
     def leq(self, e: EventId, f: EventId) -> bool:
         """Reflexive causal order: ``e == f`` or ``e`` precedes ``f``."""
@@ -253,8 +287,9 @@ class Computation:
         vector clock of ``e`` with every component clamped to at least 1
         (initial events belong to every cut).
         """
-        clk = self.clock(e)
-        return tuple(max(1, c) for c in clk)
+        if not self.has_event(e):
+            raise UnknownEventError(e)
+        return tuple(max(1, c) for c in self._clk[e[0]][e[1]])
 
     # ------------------------------------------------------------------
     # Structural classification (paper, Section 3.2)
@@ -298,10 +333,14 @@ class Computation:
                 )
 
     def _validate_messages(self) -> None:
+        events = self._events
+        n = len(events)
         for send_id, recv_id in self._messages:
-            if not self.has_event(send_id):
+            sp, si = send_id
+            if not (0 <= sp < n and 0 <= si < len(events[sp])):
                 raise ComputationError(f"message send endpoint {send_id} unknown")
-            if not self.has_event(recv_id):
+            rp, ri = recv_id
+            if not (0 <= rp < n and 0 <= ri < len(events[rp])):
                 raise ComputationError(
                     f"message receive endpoint {recv_id} unknown"
                 )
@@ -309,82 +348,20 @@ class Computation:
                 raise ComputationError(
                     f"message with identical endpoints {send_id}"
                 )
-            if send_id[1] == 0 or recv_id[1] == 0:
+            if si == 0 or ri == 0:
                 raise ComputationError("initial events cannot exchange messages")
-            if not self.event(send_id).kind.is_send:
+            send_kind = events[sp][si].kind
+            if send_kind not in _SENDS:
                 raise ComputationError(
                     f"event {send_id} sends a message but has kind "
-                    f"{self.event(send_id).kind.value}"
+                    f"{send_kind.value}"
                 )
-            if not self.event(recv_id).kind.is_receive:
+            recv_kind = events[rp][ri].kind
+            if recv_kind not in _RECEIVES:
                 raise ComputationError(
                     f"event {recv_id} receives a message but has kind "
-                    f"{self.event(recv_id).kind.value}"
+                    f"{recv_kind.value}"
                 )
-
-    def _compute_clocks(self) -> None:
-        """One Kahn-style topological pass computing all vector clocks.
-
-        Each non-initial event depends on its local predecessor and on the
-        send events of the messages it receives.  Initial events are given
-        the clock with 1 in their own component; the running clock of each
-        process starts at all-ones so that every non-initial event dominates
-        every initial event, matching the paper's convention that initial
-        events precede all other events.
-        """
-        n = self.num_processes
-        indegree: Dict[EventId, int] = {}
-        dependents: Dict[EventId, List[EventId]] = {}
-        for p, seq in enumerate(self._events):
-            for ev in seq[1:]:
-                eid = ev.event_id
-                deps = 1  # local predecessor (possibly the initial event)
-                for src in self._received_at.get(eid, ()):
-                    deps += 1
-                    dependents.setdefault(src, []).append(eid)
-                pred = (p, eid[1] - 1)
-                dependents.setdefault(pred, []).append(eid)
-                indegree[eid] = deps
-
-        # Initial events are sources.
-        ready: deque[EventId] = deque()
-        running: List[VectorClock] = []
-        ones = VectorClock((1,) * n)
-        for p, seq in enumerate(self._events):
-            init_id = seq[0].event_id
-            self._clocks[init_id] = VectorClock(
-                1 if j == p else 0 for j in range(n)
-            )
-            running.append(ones)
-            for dep in dependents.get(init_id, ()):
-                indegree[dep] -= 1
-                if indegree[dep] == 0:
-                    ready.append(dep)
-        # The initial event's clock above is only its *identity* timestamp for
-        # comparisons among initial events; propagation uses ``running``.
-
-        processed = 0
-        per_process_clock: List[VectorClock] = list(running)
-        while ready:
-            eid = ready.popleft()
-            p = eid[0]
-            clk = per_process_clock[p]
-            for src in self._received_at.get(eid, ()):
-                clk = clk.merge(self._clocks[src])
-            clk = clk.tick(p)
-            self._clocks[eid] = clk
-            per_process_clock[p] = clk
-            processed += 1
-            for dep in dependents.get(eid, ()):
-                indegree[dep] -= 1
-                if indegree[dep] == 0:
-                    ready.append(dep)
-
-        if processed != self.total_events():
-            raise CyclicComputationError(
-                "event dependencies contain a cycle; "
-                f"only {processed} of {self.total_events()} events orderable"
-            )
 
     # ------------------------------------------------------------------
     # Dunder conveniences
@@ -404,3 +381,77 @@ class Computation:
                     raise ComputationError(f"duplicate event label {ev.label!r}")
                 index[ev.label] = ev.event_id
         return index
+
+
+def _clock_table(
+    lengths: Sequence[int], messages: Sequence[MessageEdge]
+) -> ClockTable:
+    """Fidge–Mattern clocks of every event, swept process by process.
+
+    Each process runs forward from its initial event as far as it can: an
+    event needs its local predecessor (already swept) and the send events
+    of the messages it receives.  A process that reaches a receive whose
+    send is not yet swept waits on the sender's process and is resumed once
+    that process advances, so the sweep does O(events + messages) work.
+    The running clock of each process starts at all-ones, so every
+    non-initial event dominates every initial event (paper, Section 2.1);
+    an initial event's own row is the unit vector of its process.
+
+    Raises:
+        CyclicComputationError: If some events can never be swept.
+    """
+    n = len(lengths)
+    # sources[p][i]: send events of the messages received at (p, i).
+    sources: List[List[Optional[List[EventId]]]] = [
+        [None] * length for length in lengths
+    ]
+    for send, (rp, ri) in messages:
+        srcs = sources[rp][ri]
+        if srcs is None:
+            sources[rp][ri] = [send]
+        else:
+            srcs.append(send)
+    rows: List[List[Tuple[int, ...]]] = [
+        [tuple(1 if q == p else 0 for q in range(n))] for p in range(n)
+    ]
+    running: List[List[int]] = [[1] * n for _ in range(n)]
+    swept = [1] * n  # events of each process swept so far
+    waiting: List[List[int]] = [[] for _ in range(n)]
+    runnable = list(range(n - 1, -1, -1))
+    while runnable:
+        p = runnable.pop()
+        start = i = swept[p]
+        length = lengths[p]
+        row, srcs_p, cur = rows[p], sources[p], running[p]
+        while i < length:
+            srcs = srcs_p[i]
+            if srcs is not None:
+                swept[p] = i
+                blocker = -1
+                for q, j in srcs:
+                    if j >= swept[q]:
+                        blocker = q
+                        break
+                if blocker >= 0:
+                    # A same-process blocker is a backward message: a cycle.
+                    if blocker != p:
+                        waiting[blocker].append(p)
+                    break
+                for q, j in srcs:
+                    cur = list(map(max, cur, rows[q][j]))
+            cur[p] += 1
+            row.append(tuple(cur))
+            i += 1
+        swept[p] = i
+        running[p] = cur
+        if i > start and waiting[p]:
+            runnable.extend(waiting[p])
+            waiting[p] = []
+    processed = sum(swept) - n
+    total = sum(lengths) - n
+    if processed != total:
+        raise CyclicComputationError(
+            "event dependencies contain a cycle; "
+            f"only {processed} of {total} events orderable"
+        )
+    return tuple(tuple(row) for row in rows)

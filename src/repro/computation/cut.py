@@ -10,7 +10,7 @@ process — exactly the paper's notion.
 A cut is *consistent* iff it is downward closed under happened-before: every
 event it contains has all its causal predecessors inside the cut.  With
 vector clocks this is an O(n^2) check (n frontier events, O(n) comparison
-each).
+each), read straight from the computation's clock table.
 
 The set of consistent cuts ordered by inclusion forms a distributive lattice;
 :mod:`repro.computation.lattice` provides enumeration and reachability over
@@ -19,6 +19,7 @@ it.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.computation.computation import Computation
@@ -110,14 +111,12 @@ class Cut:
     # ------------------------------------------------------------------
     def is_consistent(self) -> bool:
         """True iff the cut is downward closed under happened-before."""
-        comp = self._computation
-        for p in range(comp.num_processes):
-            if self._frontier[p] == 1:
-                continue  # only the initial event; nothing to check
-            clk = comp.clock(self.last_event_id(p))
-            for q in range(comp.num_processes):
-                if clk[q] > self._frontier[q]:
-                    return False
+        frontier = self._frontier
+        table = self._computation.clock_table
+        for p, c in enumerate(frontier):
+            # c == 1: only the initial event; nothing to check.
+            if c > 1 and any(map(gt, table[p][c - 1], frontier)):
+                return False
         return True
 
     def is_enabled(self, process: int) -> bool:
@@ -127,15 +126,16 @@ class Cut:
         ``process`` is *enabled* iff all its causal predecessors are already
         in the cut.
         """
-        comp = self._computation
-        next_index = self._frontier[process]
-        if next_index >= len(comp.events_of(process)):
+        frontier = self._frontier
+        if not 0 <= process < len(frontier):
+            raise InvalidCutError(f"process {process} out of range")
+        row = self._computation.clock_table[process]
+        next_index = frontier[process]
+        if next_index >= len(row):
             return False
-        clk = comp.clock((process, next_index))
-        for q in range(comp.num_processes):
-            if q == process:
-                continue
-            if clk[q] > self._frontier[q]:
+        clk = row[next_index]
+        for q, have in enumerate(frontier):
+            if clk[q] > have and q != process:
                 return False
         return True
 
@@ -172,17 +172,16 @@ class Cut:
         Removing the last event of process ``p`` keeps the cut consistent iff
         no other frontier event causally depends on it.
         """
-        comp = self._computation
-        for p in range(comp.num_processes):
-            if self._frontier[p] == 1:
+        frontier = self._frontier
+        table = self._computation.clock_table
+        for p, c in enumerate(frontier):
+            if c == 1:
                 continue
-            removed = self.last_event_id(p)
             blocked = False
-            for q in range(comp.num_processes):
-                if q == p or self._frontier[q] == 1:
+            for q, d in enumerate(frontier):
+                if q == p or d == 1:
                     continue
-                clk = comp.clock(self.last_event_id(q))
-                if clk[p] >= self._frontier[p]:
+                if table[q][d - 1][p] >= c:
                     blocked = True
                     break
             if not blocked:

@@ -44,18 +44,16 @@ class SelectionScan:
     benchmarks; the scan performs at most ``sum of chain lengths``
     eliminations, each costing O(number of chains) consistency checks.
 
-    Causality queries go through the computation's memoized
-    :class:`~repro.perf.causality.CausalityIndex` (raw-clock ``leq``,
-    precomputed successors); pass ``index`` explicitly only to substitute
-    a compatible query provider (the benchmarks use this to measure the
-    unindexed baseline).
+    Causality queries read the clock table of the computation's memoized
+    :class:`~repro.perf.causality.CausalityIndex`; pass ``index`` to reuse
+    one already in hand.
     """
 
     def __init__(
         self,
         computation: Computation,
         chains: Sequence[Sequence[EventId]],
-        index=None,
+        index: Optional[CausalityIndex] = None,
     ):
         self._comp = computation
         self._index = index if index is not None else CausalityIndex.of(computation)
@@ -70,24 +68,14 @@ class SelectionScan:
             return []
         if any(not chain for chain in self._chains):
             return None
-        if isinstance(self._index, CausalityIndex):
-            return self._run_indexed(self._index, m)
-        return self._run_generic(self._index, m)
-
-    def _run_indexed(
-        self, index: CausalityIndex, m: int
-    ) -> Optional[List[EventId]]:
-        """Scan on raw clock tuples — no per-comparison function calls.
-
-        For a non-initial event ``e' = (p, i)`` with ``i >= 1``,
-        ``leq(e', f)`` reduces to ``f`` being non-initial with
-        ``clk(f)[p] > i`` (the component counts the events of ``p`` in
-        ``f``'s causal past, including the initial one, so same-process
-        equality is covered too).  Both elimination tests only ever apply
-        ``leq`` to local successors, which are non-initial by construction.
-        """
-        clk = index._clk
-        lengths = index._lengths
+        # The scan reads raw clock tuples, with no per-comparison calls.
+        # For a non-initial event e' = (p, i), leq(e', f) reduces to f being
+        # non-initial with clk(f)[p] > i (the component counts the events
+        # of p in f's causal past, including the initial one, so
+        # same-process equality is covered too).  Both elimination tests
+        # only apply leq to local successors, non-initial by construction.
+        clk = self._index._clk
+        lengths = self._index._lengths
         chains = self._chains
         cursor = [0] * m
         pending: deque[int] = deque(range(m))
@@ -138,54 +126,6 @@ class SelectionScan:
         self.advances = advances
         self.comparisons = comparisons
         return [chains[i][cursor[i]] for i in range(m)]
-
-    def _run_generic(self, index, m: int) -> Optional[List[EventId]]:
-        """Scan through the provider's ``leq``/``successor`` callables."""
-        leq = index.leq
-        successor = index.successor
-        cursor = [0] * m
-        # Chains whose candidate changed and must be re-checked against all.
-        pending: deque[int] = deque(range(m))
-        queued = [True] * m
-
-        def advance(i: int) -> bool:
-            """Move chain i to its next event; False if exhausted."""
-            self.advances += 1
-            cursor[i] += 1
-            return cursor[i] < len(self._chains[i])
-
-        trk = tracker("detect.scan", check_every=512)
-        while pending:
-            trk.step()
-            i = pending.popleft()
-            queued[i] = False
-            e = self._chains[i][cursor[i]]
-            succ_e = successor(e)
-            restart = False
-            for j in range(m):
-                if j == i:
-                    continue
-                f = self._chains[j][cursor[j]]
-                self.comparisons += 1
-                if succ_e is not None and leq(succ_e, f):
-                    # e cannot pair with f nor any later event of chain j.
-                    if not advance(i):
-                        return None
-                    if not queued[i]:
-                        pending.append(i)
-                        queued[i] = True
-                    restart = True
-                    break
-                succ_f = successor(f)
-                if succ_f is not None and leq(succ_f, e):
-                    if not advance(j):
-                        return None
-                    if not queued[j]:
-                        pending.append(j)
-                        queued[j] = True
-            if restart:
-                continue
-        return [self._chains[i][cursor[i]] for i in range(m)]
 
 
 def find_consistent_selection(

@@ -9,8 +9,12 @@ property is::
     e concurrent with f   <=>   neither vc(e) < vc(f) nor vc(f) < vc(e)
 
 Vector clocks are the workhorse of every detection algorithm in this library:
-they turn "did e happen before f?" into an O(n) comparison (O(1) with the
-two-component trick used in :meth:`VectorClock.precedes_event`).
+they turn "did e happen before f?" into an O(n) comparison of two clocks.
+When the process and local index of ``e`` are known, one component of
+``f``'s clock suffices (O(1)); that is how
+:meth:`repro.computation.Computation.happened_before` answers from the
+computation's clock table.  The methods of this class compare whole
+clocks and cost O(n).
 """
 
 from __future__ import annotations
@@ -33,6 +37,17 @@ class VectorClock:
         self._components: Tuple[int, ...] = tuple(int(c) for c in components)
         if any(c < 0 for c in self._components):
             raise ValueError("vector clock components must be non-negative")
+
+    @classmethod
+    def unchecked(cls, components: Tuple[int, ...]) -> "VectorClock":
+        """Wrap a tuple of non-negative ints without copying or checking it.
+
+        For rows of a clock table that was computed, not read from input
+        (see :meth:`repro.computation.Computation.clock`).
+        """
+        clock = object.__new__(cls)
+        clock._components = components
+        return clock
 
     @classmethod
     def zero(cls, size: int) -> "VectorClock":
@@ -86,13 +101,13 @@ class VectorClock:
         return not (self <= other) and not (other <= self)
 
     def precedes_event(self, other: "VectorClock", other_process: int) -> bool:
-        """O(1) happened-before test against an *event* clock.
+        """Strict happened-before test against an *event* clock, in O(n).
 
-        For event clocks produced by the standard algorithm, ``e -> f`` iff
-        ``vc(e)[p(e)] <= vc(f)[p(e)]`` and ``e != f``; callers that know the
-        process of ``other`` can use this constant-time form.  ``other_process``
-        is the process of the event timestamped by ``other`` (unused by the
-        comparison itself but kept for interface symmetry and validation).
+        Equivalent to ``self < other``: componentwise ``<=`` and not equal.
+        ``other_process`` (the process of the event timestamped by
+        ``other``) is only range-checked; the comparison reads every
+        component.  For the O(1) one-component test use
+        :meth:`repro.computation.Computation.happened_before`.
         """
         self._check_dim(other)
         if not 0 <= other_process < len(other):

@@ -56,7 +56,15 @@ from repro.obs.progress import (
     stderr_sink,
     tracker,
 )
-from repro.obs.spans import NOOP, Capture, Span, current_span, span, take_roots
+from repro.obs.spans import (
+    NOOP,
+    Capture,
+    Span,
+    current_span,
+    layer_span,
+    span,
+    take_roots,
+)
 from repro.obs.stats import StatCounters
 
 __all__ = [
@@ -82,6 +90,7 @@ __all__ = [
     "format_prometheus",
     "format_span_tree",
     "is_enabled",
+    "layer_span",
     "otlp_json",
     "otlp_to_spans",
     "progress_context",

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional
 from repro.obs.config import STATE
 from repro.obs.metrics import registry
 
-__all__ = ["Span", "span", "current_span", "Capture", "NOOP"]
+__all__ = ["Span", "span", "layer_span", "current_span", "Capture", "NOOP"]
 
 
 class _NoopSpan:
@@ -65,14 +65,20 @@ def _roots() -> List["Span"]:
 class Span:
     """One timed region.  Acts as its own context manager."""
 
-    __slots__ = ("name", "attributes", "start_time", "end_time", "children")
+    __slots__ = (
+        "name", "attributes", "start_time", "end_time", "children", "rooted",
+    )
 
-    def __init__(self, name: str, attributes: Dict[str, Any]) -> None:
+    def __init__(
+        self, name: str, attributes: Dict[str, Any], rooted: bool = True
+    ) -> None:
         self.name = name
         self.attributes = attributes
         self.start_time: float = 0.0
         self.end_time: Optional[float] = None
         self.children: List[Span] = []
+        #: False for :func:`layer_span` spans: they never become roots.
+        self.rooted = rooted
 
     def set(self, **attributes: Any) -> None:
         """Attach structured attributes to the span."""
@@ -98,7 +104,7 @@ class Span:
             stack.remove(self)
         if stack:
             stack[-1].children.append(self)
-        else:
+        elif self.rooted:
             _roots().append(self)
         registry().histogram("span." + self.name + ".ms").record(
             self.duration_ms
@@ -126,6 +132,20 @@ def span(name: str, **attributes: Any):
     if not STATE.enabled:
         return NOOP
     return Span(name, attributes)
+
+
+def layer_span(name: str, **attributes: Any):
+    """Open a span over an ingest layer (trace decoding, clock building).
+
+    It nests like :func:`span` under the innermost open span, but opened
+    outside every span it records only its ``span.<name>.ms`` histogram and
+    never becomes a root.  Traces are loaded before a query starts and
+    indices are built lazily inside one, so this keeps their timings
+    without changing which roots a captured run has.  No-op when disabled.
+    """
+    if not STATE.enabled:
+        return NOOP
+    return Span(name, attributes, rooted=False)
 
 
 def current_span():

@@ -11,9 +11,12 @@ computation**, re-deriving identical answers on every scan.
 structures built once and shared by every scan (and, through the
 module-level weak cache, by every query against the same computation):
 
-* raw vector-clock tuples (``_clk[p][i]``), giving a ``leq`` fast path
-  with no :class:`~repro.events.vector_clock.VectorClock` indirection and
-  no per-call id validation;
+* the computation's own clock table (``_clk[p][i]``, shared by
+  reference with :attr:`Computation.clock_table
+  <repro.computation.Computation.clock_table>`, never copied), giving a
+  ``leq`` fast path with no
+  :class:`~repro.events.vector_clock.VectorClock` indirection and no
+  per-call id validation;
 * precomputed local-successor arrays (``successor`` becomes a list
   lookup);
 * memoized per-clause true-event lists and minimum chain covers, so the
@@ -42,6 +45,7 @@ from repro.computation.computation import Computation
 from repro.events import EventId
 from repro.obs.config import STATE
 from repro.obs.metrics import registry
+from repro.obs.spans import layer_span
 
 __all__ = ["CausalityIndex"]
 
@@ -86,24 +90,17 @@ class CausalityIndex:
         self.computation = computation
         n = computation.num_processes
         self.num_processes = n
-        lengths = [len(computation.events_of(p)) for p in range(n)]
-        self._lengths: List[int] = lengths
-        # Raw clock tuples: _clk[p][i] is the component tuple of event (p, i).
-        self._clk: List[List[Tuple[int, ...]]] = [
-            [
-                computation.clock((p, i)).components
-                for i in range(lengths[p])
+        with layer_span("perf.index.build", processes=n):
+            # The computation's clock table: _clk[p][i] is the component
+            # tuple of event (p, i).
+            self._clk = computation.clock_table
+            lengths = [len(row) for row in self._clk]
+            self._lengths: List[int] = lengths
+            # Local-successor array: _succ[p][i] is succ((p, i)) or None.
+            self._succ: List[List[Optional[EventId]]] = [
+                [(p, i) for i in range(1, lengths[p])] + [None]
+                for p in range(n)
             ]
-            for p in range(n)
-        ]
-        # Local-successor array: _succ[p][i] is succ((p, i)) or None.
-        self._succ: List[List[Optional[EventId]]] = [
-            [
-                (p, i + 1) if i + 1 < lengths[p] else None
-                for i in range(lengths[p])
-            ]
-            for p in range(n)
-        ]
         self._true_on: Dict[object, Tuple[EventId, ...]] = {}
         self._true_all: Dict[object, Tuple[EventId, ...]] = {}
         self._covers: Dict[object, ChainCover] = {}
@@ -343,13 +340,15 @@ class CausalityIndex:
     def matrix(self):
         """The computation's shared :class:`~repro.perf.clockmatrix.ClockMatrix`.
 
-        Built lazily from the raw clock table; pure-Python kernels when
-        numpy is unavailable (callers never branch on the backend).
+        Built lazily from the computation's clock table; pure-Python
+        kernels when numpy is unavailable (callers never branch on the
+        backend).
         """
         if self._matrix is None:
             from repro.perf.clockmatrix import ClockMatrix
 
-            self._matrix = ClockMatrix(self._clk, self._lengths)
+            with layer_span("perf.matrix.build", rows=sum(self._lengths)):
+                self._matrix = ClockMatrix(self._clk, self._lengths)
         return self._matrix
 
     # ------------------------------------------------------------------

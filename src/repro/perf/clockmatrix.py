@@ -43,6 +43,7 @@ to ``perf.clockmatrix.*`` metrics by the index.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["ClockMatrix", "numpy_available", "HAVE_NUMPY"]
@@ -71,7 +72,7 @@ class ClockMatrix:
 
     Args:
         clocks: ``clocks[p][i]`` is the component tuple of event ``(p, i)``
-            (exactly the raw-clock table of
+            (the computation's clock table, as shared by
             :class:`~repro.perf.causality.CausalityIndex`).
         lengths: Events per process, initial event included.
         use_numpy: Force the pure-Python kernels with ``False``; default
@@ -113,21 +114,14 @@ class ClockMatrix:
         for p, length in enumerate(self.lengths):
             flat_proc.extend([p] * length)
             flat_pos.extend(range(1, length + 1))
+        # Rows in process-major order, shared with the table (no copies).
+        rows = list(chain.from_iterable(clocks))
         if self.use_numpy:
-            matrix = _np.empty((total, n), dtype=_np.int64)
-            for p in range(n):
-                base = offsets[p]
-                for i, components in enumerate(clocks[p]):
-                    matrix[base + i] = components
-            self.clk = matrix
+            self.clk = _np.array(rows, dtype=_np.int64)
             self.proc = _np.asarray(flat_proc, dtype=_np.int64)
             self.pos = _np.asarray(flat_pos, dtype=_np.int64)
         else:
-            self.clk = [
-                tuple(clocks[p][i])
-                for p in range(n)
-                for i in range(self.lengths[p])
-            ]
+            self.clk = rows
             self.proc = flat_proc
             self.pos = flat_pos
 

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.computation import Computation
 from repro.events import Event, EventKind
+from repro.obs.spans import layer_span
 
 __all__ = [
     "TraceFormatError",
@@ -76,19 +77,34 @@ def computation_to_dict(computation: Computation) -> Dict[str, Any]:
     return payload
 
 
+#: Event kinds by their JSON value (the loader's fast path; any other
+#: input falls back to ``EventKind(value)``).
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
+def _is_list(value: Any) -> bool:
+    """A JSON array: any ``Sequence`` except ``str``/``bytes``."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return True
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _is_object(value: Any) -> bool:
+    """A JSON object: any ``Mapping``."""
+    return type(value) is dict or isinstance(value, Mapping)
+
+
 def _parse_endpoint(
     entry: Any, what: str, fail: "_Fail"
 ) -> tuple:
-    if (
-        not isinstance(entry, Sequence)
-        or isinstance(entry, (str, bytes))
-        or len(entry) != 2
-    ):
+    if not _is_list(entry) or len(entry) != 2:
         fail(f"{what} must be a [process, index] pair, got {entry!r}")
     process, index = entry
-    for part in (process, index):
-        if isinstance(part, bool) or not isinstance(part, int):
-            fail(f"{what} components must be integers, got {entry!r}")
+    if type(process) is not int or type(index) is not int:
+        for part in (process, index):
+            if isinstance(part, bool) or not isinstance(part, int):
+                fail(f"{what} components must be integers, got {entry!r}")
     return (process, index)
 
 
@@ -100,6 +116,17 @@ class _Fail:
 
     def __call__(self, message: str) -> None:
         raise TraceFormatError(self._prefix + message)
+
+
+def _parse_kind(raw: Any, p: int, i: int, fail: _Fail) -> EventKind:
+    """The slow path of the kind lookup: whatever ``EventKind`` accepts."""
+    try:
+        return EventKind(raw)
+    except ValueError:
+        fail(
+            f"process {p}, event {i}: unknown event kind {raw!r} "
+            f"(expected one of {sorted(k.value for k in EventKind)})"
+        )
 
 
 def computation_from_dict(
@@ -118,73 +145,71 @@ def computation_from_dict(
             computation (bad message endpoints, cycles, ...).
     """
     fail = _Fail(source)
-    if not isinstance(data, Mapping):
+    if not _is_object(data):
         fail(f"trace must be a JSON object, got {type(data).__name__}")
     fmt = data.get("format")
     if fmt != FORMAT:
         fail(f"unsupported trace format {fmt!r}; expected {FORMAT!r}")
     if "processes" not in data:
         fail("missing required key 'processes'")
+    with layer_span("trace.decode") as sp:
+        process_events, messages, meta = _decode(data, fail)
+        sp.set(
+            processes=len(process_events),
+            events=sum(len(events) for events in process_events),
+            messages=len(messages),
+        )
+    return Computation(process_events, messages, meta=meta)
+
+
+def _decode(data: Mapping[str, Any], fail: _Fail):
+    """Events, message edges and meta of a payload, shape-checked."""
     raw_processes = data["processes"]
-    if not isinstance(raw_processes, Sequence) or isinstance(
-        raw_processes, (str, bytes)
-    ):
+    if not _is_list(raw_processes):
         fail(
             "'processes' must be a list of per-process event lists, got "
             f"{type(raw_processes).__name__}"
         )
     process_events: List[List[Event]] = []
     for p, records in enumerate(raw_processes):
-        if not isinstance(records, Sequence) or isinstance(records, (str, bytes)):
+        if not _is_list(records):
             fail(
                 f"process {p}: events must be a list, got "
                 f"{type(records).__name__}"
             )
         events: List[Event] = []
         for i, record in enumerate(records):
-            where = f"process {p}, event {i}"
-            if not isinstance(record, Mapping):
-                fail(f"{where}: expected an object, got {type(record).__name__}")
-            if "kind" not in record:
-                fail(f"{where}: missing required key 'kind'")
-            try:
-                kind = EventKind(record["kind"])
-            except ValueError:
+            if not _is_object(record):
                 fail(
-                    f"{where}: unknown event kind {record['kind']!r} "
-                    f"(expected one of {sorted(k.value for k in EventKind)})"
+                    f"process {p}, event {i}: expected an object, got "
+                    f"{type(record).__name__}"
                 )
+            if "kind" not in record:
+                fail(f"process {p}, event {i}: missing required key 'kind'")
+            raw_kind = record["kind"]
+            kind = _KINDS.get(raw_kind) if type(raw_kind) is str else None
+            if kind is None:
+                kind = _parse_kind(raw_kind, p, i, fail)
             values = record.get("values", {})
-            if not isinstance(values, Mapping):
+            if not _is_object(values):
                 fail(
-                    f"{where}: 'values' must be an object, got "
-                    f"{type(values).__name__}"
+                    f"process {p}, event {i}: 'values' must be an object, "
+                    f"got {type(values).__name__}"
                 )
             label = record.get("label")
             if label is not None and not isinstance(label, str):
-                fail(f"{where}: 'label' must be a string, got {label!r}")
-            events.append(
-                Event(
-                    process=p,
-                    index=i,
-                    kind=kind,
-                    values=dict(values),
-                    label=label,
+                fail(
+                    f"process {p}, event {i}: 'label' must be a string, "
+                    f"got {label!r}"
                 )
-            )
+            events.append(Event(p, i, kind, dict(values), label))
         process_events.append(events)
     raw_messages = data.get("messages", [])
-    if not isinstance(raw_messages, Sequence) or isinstance(
-        raw_messages, (str, bytes)
-    ):
+    if not _is_list(raw_messages):
         fail(f"'messages' must be a list, got {type(raw_messages).__name__}")
     messages = []
     for m, entry in enumerate(raw_messages):
-        if (
-            not isinstance(entry, Sequence)
-            or isinstance(entry, (str, bytes))
-            or len(entry) != 2
-        ):
+        if not _is_list(entry) or len(entry) != 2:
             fail(
                 f"message {m} must be a [send, receive] pair, got {entry!r}"
             )
@@ -192,9 +217,9 @@ def computation_from_dict(
         recv = _parse_endpoint(entry[1], f"message {m} receive endpoint", fail)
         messages.append((send, recv))
     meta = data.get("meta")
-    if meta is not None and not isinstance(meta, Mapping):
+    if meta is not None and not _is_object(meta):
         fail(f"'meta' must be an object, got {type(meta).__name__}")
-    return Computation(process_events, messages, meta=meta)
+    return process_events, messages, meta
 
 
 def dump_computation(

@@ -293,3 +293,123 @@ class TestClocks:
             cut = Cut(diamond, frontier)
             assert cut.is_consistent()
             assert cut.passes_through(ev.event_id)
+
+
+def _causal_counts(comp: Computation):
+    """Per event, the events of each process at or before it (oracle)."""
+    oracle = reference_order(comp)
+    return {
+        f.event_id: [
+            sum(
+                1
+                for e in comp.events_of(q)
+                if e.event_id == f.event_id
+                or oracle.has_edge(e.event_id, f.event_id)
+            )
+            for q in range(comp.num_processes)
+        ]
+        for f in comp.all_events(include_initial=True)
+    }
+
+
+def _crash_restart_trace(seed: int) -> Computation:
+    from repro.simulation import CrashSpec, FaultPlan
+    from repro.simulation.protocols import build_lock_scenario
+
+    plan = FaultPlan(
+        seed=seed,
+        message_loss=0.2,
+        crashes=(
+            CrashSpec(process=2, at=3.0),
+            CrashSpec(process=0, at=4.0, restart_at=7.0),
+        ),
+    )
+    return build_lock_scenario(consistent_order=True, seed=seed, faults=plan)
+
+
+class TestClockTable:
+    """The clock table computed once at construction, and its consumers."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_components_count_causal_past_random(self, seed):
+        comp = random_computation(
+            2 + seed % 4, 5, message_density=0.6, seed=seed,
+            variables=[BoolVar("x")],
+        )
+        for eid, counts in _causal_counts(comp).items():
+            assert list(comp.clock(eid)) == counts, eid
+            assert comp.clock_table[eid[0]][eid[1]] == tuple(counts)
+
+    @pytest.mark.parametrize("seed", [3, 17, 101])
+    def test_components_count_causal_past_crash_restart(self, seed):
+        comp = _crash_restart_trace(seed)
+        assert comp.meta["faults"]["plan"]["crashes"]
+        for eid, counts in _causal_counts(comp).items():
+            assert list(comp.clock(eid)) == counts, eid
+
+    def test_index_shares_the_table(self, figure2):
+        from repro.perf.causality import CausalityIndex
+
+        assert CausalityIndex.of(figure2)._clk is figure2.clock_table
+
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_matrix_rows_equal_table(self, use_numpy):
+        from repro.perf.clockmatrix import ClockMatrix, numpy_available
+
+        if use_numpy and not numpy_available():
+            pytest.skip("numpy backend unavailable")
+        comp = _crash_restart_trace(5)
+        table = comp.clock_table
+        matrix = ClockMatrix(table, [len(row) for row in table], use_numpy)
+        rows = [
+            tuple(int(c) for c in matrix.clk[matrix.row((p, i))])
+            for p in range(comp.num_processes)
+            for i in range(len(table[p]))
+        ]
+        assert rows == [clock for row in table for clock in row]
+
+    def test_three_process_cycle(self):
+        # p0 -> p1 -> p2 -> p0, each message received before it is sent.
+        events = [
+            [
+                Event(p, 0, EventKind.INITIAL),
+                Event(p, 1, EventKind.RECEIVE),
+                Event(p, 2, EventKind.SEND),
+            ]
+            for p in range(3)
+        ]
+        messages = [((0, 2), (1, 1)), ((1, 2), (2, 1)), ((2, 2), (0, 1))]
+        with pytest.raises(CyclicComputationError) as info:
+            Computation(events, messages)
+        assert str(info.value) == (
+            "event dependencies contain a cycle; only 0 of 6 events orderable"
+        )
+
+    def test_cycle_behind_orderable_prefix(self):
+        # (0,2) <- (1,3) <- (1,2) <- (0,3) <- (0,2) is a cycle; (0,1), (1,1),
+        # (2,1) and (2,2) (which receives from (1,1)) are still orderable.
+        events = [
+            [
+                Event(0, 0, EventKind.INITIAL),
+                Event(0, 1),
+                Event(0, 2, EventKind.RECEIVE),
+                Event(0, 3, EventKind.SEND),
+            ],
+            [
+                Event(1, 0, EventKind.INITIAL),
+                Event(1, 1, EventKind.SEND),
+                Event(1, 2, EventKind.RECEIVE),
+                Event(1, 3, EventKind.SEND),
+            ],
+            [
+                Event(2, 0, EventKind.INITIAL),
+                Event(2, 1),
+                Event(2, 2, EventKind.RECEIVE),
+            ],
+        ]
+        messages = [((1, 1), (2, 2)), ((0, 3), (1, 2)), ((1, 3), (0, 2))]
+        with pytest.raises(CyclicComputationError) as info:
+            Computation(events, messages)
+        assert str(info.value) == (
+            "event dependencies contain a cycle; only 4 of 8 events orderable"
+        )

@@ -28,7 +28,7 @@ def naive_clocks(comp):
     Processes events along a linearization, carrying one running clock per
     process (started at all-ones so non-initial events dominate every
     initial event) and merging in the sender's clock at each receive —
-    independent of the Kahn pass inside :class:`Computation`.
+    independent of the clock sweep inside :class:`Computation`.
     """
     n = comp.num_processes
     running = [VectorClock((1,) * n) for _ in range(n)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_possibly
-from repro.computation import ComputationBuilder
+from repro.computation import ComputationBuilder, least_consistent_cut
 from repro.detection import (
     SelectionScan,
     detect_conjunctive,
@@ -61,14 +61,6 @@ class TestSelectionScan:
         assert scan.comparisons >= 1
 
 
-class _RawComputationQueries:
-    """Unindexed ``leq``/``successor`` provider (the pre-index cost model)."""
-
-    def __init__(self, comp):
-        self.leq = comp.leq
-        self.successor = comp.successor
-
-
 class TestSelectionScanProperties:
     @settings(max_examples=40, deadline=None)
     @given(random_comp)
@@ -82,21 +74,23 @@ class TestSelectionScanProperties:
         scan.run()
         assert scan.advances <= sum(len(chain) for chain in chains)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(random_comp)
-    def test_indexed_and_generic_paths_agree(self, comp):
-        """The raw-clock fast path equals the provider-callable slow path."""
+    def test_selection_matches_brute_force(self, comp):
+        """A selection exists iff some consistent cut makes every x true,
+        and the selection found lies on such a cut."""
         chains = [
             true_events(comp, local(p, "x"))
             for p in range(comp.num_processes)
         ]
-        fast = SelectionScan(comp, chains)
-        slow = SelectionScan(
-            comp, chains, index=_RawComputationQueries(comp)
-        )
-        assert fast.run() == slow.run()
-        assert fast.advances == slow.advances
-        assert fast.comparisons == slow.comparisons
+        pred = conjunctive(*(local(p, "x") for p in range(comp.num_processes)))
+        selection = SelectionScan(comp, chains).run()
+        assert (selection is None) == (brute_possibly(comp, pred.evaluate) is None)
+        if selection is not None:
+            assert all(e in chain for e, chain in zip(selection, chains))
+            witness = least_consistent_cut(comp, selection)
+            assert witness is not None
+            assert pred.evaluate(witness)
 
 
 class TestDetectConjunctive:
