@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from typing import Callable, Dict, List
@@ -347,12 +348,19 @@ def t_definitely() -> None:
             f"{sliced.stats.get('reduction', 1.0):.1f}x")
 
 
+#: Replays per T-online stream: the reported time is their median, and
+#: the experiment's wall time is spent in the monitor, not in building the
+#: traces, so the --baseline gate sees a monitor regression.
+ONLINE_REPLAYS = 25
+
+
 def t_online() -> None:
     header("T-online", "streaming monitor replay throughput")
     from repro.computation import some_linearization
     from repro.trace import BoolVar
 
-    row("processes", "observations", "detected", "time_ms", "obs/ms")
+    row("processes", "observations", "fed", "detected", "median_ms",
+        "obs/ms")
     for n in (4, 8, 16):
         comp = random_computation(
             n, 32, 0.2, seed=31, variables=[BoolVar("x", 0.3)]
@@ -370,16 +378,22 @@ def t_online() -> None:
 
         def replay():
             monitor = OnlineConjunctiveMonitor(n, range(n))
+            fed = 0
             for item in stream:
+                fed += 1
                 if monitor.observe(*item):
                     break
             else:
                 monitor.finish_all()
-            return monitor
+            return monitor, fed
 
-        monitor, ms = timed(replay)
-        row(n, len(stream), monitor.detected, f"{ms:.2f}",
-            f"{len(stream) / max(ms, 0.001):.0f}")
+        times = []
+        for _ in range(ONLINE_REPLAYS):
+            (monitor, fed), ms = timed(replay)
+            times.append(ms)
+        ms = statistics.median(times)
+        row(n, len(stream), fed, monitor.detected, f"{ms:.3f}",
+            f"{fed / max(ms, 0.001):.0f}")
 
 
 def t_classify() -> None:

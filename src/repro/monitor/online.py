@@ -20,6 +20,14 @@ final the moment both clocks are known.  Detection is therefore announced
 at the earliest possible observation point, with the witness event per
 process.
 
+**Cost.**  Between observations the queue heads are at the elimination
+fixpoint, so only a head that changes — a true event reaching an empty
+queue, or a pop — is compared, once, against every other non-empty head:
+O(|monitored|) clock reads per head change, and
+O(|monitored| · (true events + eliminations)) for a whole stream.  A true
+event queued behind an existing head changes no head and costs only the
+O(|monitored|) conclusion check.
+
 The stream for process p must include *all* its events (true and false):
 false events cost O(1) and carry the causal information that eliminates
 stale candidates... they are simply ignored by the queues, but feeding
@@ -52,7 +60,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.events import VectorClock
 from repro.obs import STATE, registry
@@ -266,11 +274,14 @@ class OnlineConjunctiveMonitor:
         if STATE.enabled:
             registry().counter("monitor.observations").inc()
         if truth:
-            self._queues[process].append(_Candidate(index, clock))
+            queue = self._queues[process]
+            queue.append(_Candidate(index, clock))
             if STATE.enabled:
                 registry().counter("monitor.candidates_queued").inc()
             already = self.detected
-            self._settle()
+            # A candidate queued behind an unchanged head leaves the heads
+            # settled: nothing to compare, only the conclusion to draw.
+            self._settle((process,) if len(queue) == 1 else ())
             if STATE.enabled and self.detected and not already:
                 registry().counter("monitor.detections").inc()
                 registry().gauge("monitor.observations_to_detection").set(
@@ -309,46 +320,50 @@ class OnlineConjunctiveMonitor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _eliminates(left: _Candidate, left_process: int, right: _Candidate) -> bool:
-        """succ(left) happened-before right (O(1) clock-component test)."""
-        return right.clock[left_process] >= left.index + 2
-
-    def _settle(self) -> None:
-        """Run eliminations until the heads are stable, then conclude."""
-        changed = True
-        while changed:
-            changed = False
-            for i in self._monitored:
-                if not self._queues[i]:
+    def _settle(self, changed: Iterable[int]) -> None:
+        """Compare the heads of ``changed`` (and of every process a pop
+        changes) with the other heads until no head eliminates another,
+        then conclude.  The heads of the other processes must already be
+        settled.  Elimination is monotone along a process, so the queues
+        and the elimination count do not depend on the order of the pops.
+        """
+        queues = self._queues
+        pending = deque(changed)
+        popped = 0
+        while pending:
+            i = pending.popleft()
+            queue_i = queues[i]
+            if not queue_i:
+                continue
+            head_i = queue_i[0]
+            clock_i = head_i.clock
+            # succ(head_i) -> f  <=>  clock(f)[i] >= index(head_i) + 2
+            limit_i = head_i.index + 2
+            for j, queue_j in queues.items():
+                if j == i or not queue_j:
                     continue
-                head_i = self._queues[i][0]
-                for j in self._monitored:
-                    if i == j or not self._queues[j]:
-                        continue
-                    head_j = self._queues[j][0]
-                    if self._eliminates(head_i, i, head_j):
-                        # head_i can never pair with head_j nor with any
-                        # later true event of j: clocks grow monotonically
-                        # along a process, so the test stays true for them.
-                        self._queues[i].popleft()
-                        self.eliminations += 1
-                        if STATE.enabled:
-                            registry().counter("monitor.eliminations").inc()
-                        changed = True
-                        break
-                    if self._eliminates(head_j, j, head_i):
-                        self._queues[j].popleft()
-                        self.eliminations += 1
-                        if STATE.enabled:
-                            registry().counter("monitor.eliminations").inc()
-                        changed = True
-                        break
-                if changed:
+                head_j = queue_j[0]
+                if head_j.clock[i] >= limit_i:
+                    # head_i can never pair with head_j nor with any later
+                    # true event of j: clocks grow monotonically along a
+                    # process, so the test stays true for them.
+                    queue_i.popleft()
+                    popped += 1
+                    if queue_i:
+                        pending.append(i)
                     break
-        if all(self._queues[p] for p in self._monitored):
+                if clock_i[j] >= head_j.index + 2:
+                    queue_j.popleft()
+                    popped += 1
+                    if queue_j and j not in pending:
+                        pending.append(j)
+        if popped:
+            self.eliminations += popped
+            if STATE.enabled:
+                registry().counter("monitor.eliminations").inc(popped)
+        if all(queues.values()):
             self._witness = {
-                p: (self._queues[p][0].index, self._queues[p][0].clock)
+                p: (queues[p][0].index, queues[p][0].clock)
                 for p in self._monitored
             }
             self._witness_gapped = self.had_gaps

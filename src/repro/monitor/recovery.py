@@ -104,6 +104,12 @@ def checkpoint_monitor(monitor: OnlineConjunctiveMonitor) -> Dict[str, Any]:
 def restore_monitor(state: Mapping[str, Any]) -> OnlineConjunctiveMonitor:
     """Rebuild a monitor from a :func:`checkpoint_monitor` dictionary.
 
+    An undecided monitor's queues are settled once, every monitored
+    process seeded, before it is returned: a checkpoint is already at the
+    elimination fixpoint and stays as it is, while a document that is not
+    has its eliminated heads popped (and counted) and its conclusion
+    drawn.
+
     Raises:
         MonitorError: If the state document is malformed.
     """
@@ -134,9 +140,12 @@ def restore_monitor(state: Mapping[str, Any]) -> OnlineConjunctiveMonitor:
         for p, queue in state["queues"]:
             if p not in monitor._queues:
                 raise MonitorError(f"state refers to unmonitored process {p}")
-            monitor._queues[p] = deque(
+            candidates = deque(
                 _Candidate(index, VectorClock(clock)) for index, clock in queue
             )
+            if any(len(c.clock) != monitor._n for c in candidates):
+                raise MonitorError(f"clock dimension mismatch in queue of {p}")
+            monitor._queues[p] = candidates
         for p, spans in state.get("gaps", []):
             monitor._gaps[p] = [(a, b) for a, b in spans]
         for p, items in state.get("quarantined", []):
@@ -154,6 +163,10 @@ def restore_monitor(state: Mapping[str, Any]) -> OnlineConjunctiveMonitor:
         monitor.observations = int(state.get("observations", 0))
         monitor.eliminations = int(state.get("eliminations", 0))
         monitor.stale_dropped = int(state.get("stale_dropped", 0))
+        if not (monitor.detected or monitor.impossible):
+            # Observations only compare heads that change, so they rely on
+            # the heads being settled; a document may not be.
+            monitor._settle(monitor.monitored)
     except MonitorError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -117,7 +117,11 @@ class ClockMatrix:
         # Rows in process-major order, shared with the table (no copies).
         rows = list(chain.from_iterable(clocks))
         if self.use_numpy:
-            self.clk = _np.array(rows, dtype=_np.int64)
+            # Streamed straight into one buffer; np.array would first
+            # inspect every row tuple for shape and type.
+            self.clk = _np.fromiter(
+                chain.from_iterable(rows), dtype=_np.int64, count=total * n
+            ).reshape(total, n)
             self.proc = _np.asarray(flat_proc, dtype=_np.int64)
             self.pos = _np.asarray(flat_pos, dtype=_np.int64)
         else:

@@ -152,3 +152,23 @@ class TestKernelParity:
         assert closure[process] >= minimum
         assert all(c >= s for c, s in zip(closure, start))
         assert index.interner.get(closure).is_consistent()
+
+
+class TestConstruction:
+    @settings(max_examples=20, deadline=None)
+    @given(computations())
+    def test_table_rows_keep_dtype_shape_and_values(self, comp):
+        index = CausalityIndex.of(comp)
+        rows = [row for table in index._clk for row in table]
+        shape = (len(rows), comp.num_processes)
+        for use_numpy in BACKENDS:
+            matrix = ClockMatrix(index._clk, index._lengths, use_numpy=use_numpy)
+            if use_numpy:
+                import numpy as np
+
+                assert matrix.clk.dtype == np.int64
+                assert matrix.clk.shape == shape
+                assert matrix.clk.tolist() == [list(row) for row in rows]
+            else:
+                assert matrix.clk == rows
+                assert all(len(row) == shape[1] for row in matrix.clk)

@@ -188,6 +188,10 @@ class TestCheckpointResume:
         bad["queues"] = "garbage"
         with pytest.raises(MonitorError, match="malformed"):
             recovery.restore_monitor(bad)
+        short = recovery.checkpoint_monitor(OnlineConjunctiveMonitor(2, [0, 1]))
+        short["queues"] = [[0, [[1, [2]]]], [1, [[1, [0, 2]]]]]
+        with pytest.raises(MonitorError, match="dimension"):
+            recovery.restore_monitor(short)
         missing = tmp_path / "missing.ckpt"
         with pytest.raises(MonitorError, match="missing.ckpt"):
             recovery.load_monitor(missing)
@@ -268,6 +272,77 @@ class TestCrashRestartDemo:
             fired.extend(group.observe(p, index, clock, truth))
         assert fired == ["mutex(2,3)"]
         assert group.detailed_verdicts() == {"mutex(2,3)": "detected"}
+
+
+class TestRestoreSettles:
+    """A restored monitor's heads are at the elimination fixpoint, even
+    when the document's are not: observations compare only heads that
+    change, so an unsettled restore would never be repaired."""
+
+    # Two processes; p0's send at index 2 is received by p1 at index 1,
+    # and p1's send at index 2 is received by p0 at index 3.
+    STREAM = [(p, i, VectorClock(c), truth) for p, i, c, truth in [
+        (0, 0, (1, 0), False),
+        (1, 0, (0, 1), False),
+        (0, 1, (2, 0), True),
+        (0, 2, (3, 0), False),
+        (1, 1, (3, 2), True),  # succ(p0@1) -> p1@1: eliminates p0@1
+        (1, 2, (3, 3), True),
+        (0, 3, (4, 3), True),  # succ(p1@1) -> p0@3: eliminates p1@1
+        (0, 4, (5, 3), False),
+        (1, 3, (3, 4), False),
+    ]]
+
+    def _unsettled_document(self, prefix):
+        """Every true event of ``prefix`` queued, none eliminated."""
+        state = recovery.checkpoint_monitor(OnlineConjunctiveMonitor(2, [0, 1]))
+        queues = {0: [], 1: []}
+        last = {0: -1, 1: -1}
+        for p, index, clock, truth in prefix:
+            last[p] = index
+            if truth:
+                queues[p].append([index, list(clock)])
+        state["queues"] = [[p, queues[p]] for p in (0, 1)]
+        state["last_index"] = [[p, last[p]] for p in (0, 1)]
+        state["observations"] = len(prefix)
+        return state, sum(len(q) for q in queues.values())
+
+    def test_hand_built_mutual_elimination_is_settled(self):
+        state, queued = self._unsettled_document(self.STREAM[:7])
+        # Both pairs of heads in the document eliminate each other in turn.
+        restored = recovery.restore_monitor(state)
+        assert restored.eliminations == 2 == queued - sum(
+            len(q) for q in restored._queues.values()
+        )
+        assert restored.verdict == "detected"
+        assert {p: w[0] for p, w in restored.witness.items()} == {0: 3, 1: 2}
+
+    @pytest.mark.parametrize("cut", range(len(STREAM) + 1))
+    def test_restore_equals_uninterrupted_run(self, cut):
+        state, queued = self._unsettled_document(self.STREAM[:cut])
+        restored = recovery.restore_monitor(state)
+        heads = {p: q[0] for p, q in restored._queues.items() if q}
+        for i, head_i in heads.items():
+            for j, head_j in heads.items():
+                if i != j:
+                    assert head_j.clock[i] < head_i.index + 2, (cut, i, j)
+        remaining = sum(len(q) for q in restored._queues.values())
+        assert restored.eliminations == queued - remaining
+        # The state a monitor fed the prefix settled into, pop for pop.
+        prefix = feed(OnlineConjunctiveMonitor(2, [0, 1]), self.STREAM[:cut])
+        settled = ("queues", "eliminations", "witness", "impossible")
+        documents = [
+            recovery.checkpoint_monitor(m) for m in (restored, prefix)
+        ]
+        for key in settled:
+            assert documents[0][key] == documents[1][key], (cut, key)
+        whole = feed(OnlineConjunctiveMonitor(2, [0, 1]), self.STREAM)
+        feed(restored, self.STREAM[cut:])
+        for m in (whole, restored):
+            m.finish_all()
+        assert restored.verdict == whole.verdict == "detected"
+        assert restored.witness == whole.witness
+        assert restored.eliminations == whole.eliminations
 
 
 class TestCheckpointByteStability:

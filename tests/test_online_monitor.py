@@ -14,6 +14,7 @@ from repro.computation import iter_linearizations, some_linearization
 from repro.detection import detect_conjunctive
 from repro.events import VectorClock
 from repro.monitor import MonitorError, OnlineConjunctiveMonitor
+from repro.obs import STATE, Capture, registry
 from repro.predicates import conjunctive, local
 from repro.trace import BoolVar, random_computation
 
@@ -149,3 +150,169 @@ class TestLifecycle:
         assert monitor.observe(1, 0, VectorClock([0, 1]), True)
         # Further observations keep returning True without state changes.
         assert monitor.observe(0, 5, VectorClock([6, 1]), False)
+
+
+class RescanMonitor(OnlineConjunctiveMonitor):
+    """Oracle only: the full-rescan elimination the monitor used before it
+    compared only changed heads.  After every true observation it rescans
+    every pair of heads and starts over after every elimination."""
+
+    def _settle(self, changed_heads):
+        queues = self._queues
+        changed = True
+        while changed:
+            changed = False
+            for i in self._monitored:
+                if not queues[i]:
+                    continue
+                head_i = queues[i][0]
+                for j in self._monitored:
+                    if i == j or not queues[j]:
+                        continue
+                    head_j = queues[j][0]
+                    if head_j.clock[i] >= head_i.index + 2:
+                        queues[i].popleft()
+                        changed = True
+                    elif head_i.clock[j] >= head_j.index + 2:
+                        queues[j].popleft()
+                        changed = True
+                    if changed:
+                        self.eliminations += 1
+                        if STATE.enabled:
+                            registry().counter("monitor.eliminations").inc()
+                        break
+                if changed:
+                    break
+        if all(queues[p] for p in self._monitored):
+            self._witness = {
+                p: (queues[p][0].index, queues[p][0].clock)
+                for p in self._monitored
+            }
+            self._witness_gapped = self.had_gaps
+        else:
+            self._check_impossible()
+
+
+def random_interleaving(comp, rng):
+    """A random linearization of the non-initial events, as event ids:
+    each step emits a uniformly chosen enabled event.
+
+    An event is enabled once its clock's other components are covered by
+    what has been emitted (initial events count as emitted).
+    """
+    n = comp.num_processes
+    emitted = [1] * n
+    lengths = [len(comp.events_of(p)) for p in range(n)]
+    order = []
+    while True:
+        enabled = []
+        for p in range(n):
+            if emitted[p] < lengths[p]:
+                clock = comp.clock((p, emitted[p]))
+                if all(clock[q] <= emitted[q] for q in range(n) if q != p):
+                    enabled.append(p)
+        if not enabled:
+            return order
+        p = rng.choice(enabled)
+        order.append((p, emitted[p]))
+        emitted[p] += 1
+
+
+def random_stream(rng):
+    """A random computation, monitored subset and (strict or lossy)
+    observation stream with drops, duplicates and corrupted reports.
+
+    Returns ``(n, monitored, lossy, stream)``; a stream item is either an
+    observation ``(p, index, clock, truth)`` or ``("finish", p)``.
+    """
+    n = rng.randint(2, 8)
+    comp = random_computation(
+        n,
+        rng.randint(1, 16),
+        rng.choice([0.0, 0.4, 0.7, 1.0]),
+        seed=rng.randrange(10**6),
+    )
+    density = rng.choice([0.1, 0.25, 0.5])
+    monitored = rng.sample(range(n), rng.randint(1, n))
+    lossy = rng.random() < 0.5
+    order = [(p, 0) for p in range(n)] + random_interleaving(comp, rng)
+    last = {p: len(comp.events_of(p)) - 1 for p in range(n)}
+    stream = []
+    for p, index in order:
+        if p not in monitored:
+            continue
+        clock = comp.clock((p, index))
+        truth = rng.random() < density
+        if lossy and rng.random() < 0.15:
+            continue  # lost
+        if lossy and rng.random() < 0.05:
+            # Corrupted: own component contradicts the index.
+            stream.append((p, index, VectorClock(
+                [c + 1 if q == p else c for q, c in enumerate(clock)]
+            ), truth))
+            continue
+        stream.append((p, index, clock, truth))
+        if lossy and rng.random() < 0.15:
+            stream.append((p, index, clock, truth))  # duplicated
+        if index == last[p] and rng.random() < 0.5:
+            stream.append(("finish", p))
+    return n, monitored, lossy, stream
+
+
+def monitor_state(monitor):
+    witness = monitor.witness
+    return {
+        "queues": {
+            p: [(c.index, tuple(c.clock)) for c in queue]
+            for p, queue in monitor._queues.items()
+        },
+        "eliminations": monitor.eliminations,
+        "detected": monitor.detected,
+        "witness": None if witness is None else {
+            p: (index, tuple(clock)) for p, (index, clock) in witness.items()
+        },
+        "verdict": monitor.verdict,
+    }
+
+
+def replay(monitor, stream):
+    for item in stream:
+        if item[0] == "finish":
+            monitor.finish(item[1])
+        else:
+            monitor.observe(*item)
+
+
+class TestAgainstFullRescan:
+    """Comparing only changed heads reaches the full rescan's fixpoint:
+    equal queues, counts and verdicts after every single observation."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_state_equal_after_every_observation(self, seed):
+        rng = random.Random(seed)
+        n, monitored, lossy, stream = random_stream(rng)
+        monitor = OnlineConjunctiveMonitor(n, monitored, lossy=lossy)
+        oracle = RescanMonitor(n, monitored, lossy=lossy)
+        for step, item in enumerate(stream):
+            for m in (monitor, oracle):
+                replay(m, [item])
+            assert monitor_state(monitor) == monitor_state(oracle), (seed, step)
+        monitor.finish_all()
+        oracle.finish_all()
+        assert monitor_state(monitor) == monitor_state(oracle), seed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counters_equal(self, seed):
+        rng = random.Random(seed)
+        n, monitored, lossy, stream = random_stream(rng)
+        snapshots = []
+        for cls in (OnlineConjunctiveMonitor, RescanMonitor):
+            with Capture() as cap:
+                m = cls(n, monitored, lossy=lossy)
+                replay(m, stream)
+                m.finish_all()
+            counters = cap.registry.snapshot()["counters"]
+            snapshots.append(
+                {k: v for k, v in counters.items() if k.startswith("monitor.")}
+            )
+        assert snapshots[0] == snapshots[1], seed
